@@ -22,6 +22,7 @@ from .canon import (
     is_initial_segment,
     reverse_form,
     scat_normalize,
+    to_dot,
 )
 from .classify import (
     AbsorptionCase,
@@ -67,6 +68,6 @@ from .terms import (
     desugar,
     validate,
 )
-from .textio import ParseError, SourceSpan, ast_repr, parse, print_term, to_dot
+from .textio import ParseError, SourceSpan, ast_repr, parse, print_term
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,5 +1,5 @@
 """Canonical forms: scattered normal forms, shuffle minimal representations,
-equality, and segment decisions.
+equality, segment decisions, and rendering as terms or DOT digraphs.
 
 A canonical form is an alternating sequence of scattered parts and
 shuffle nodes whose block sets are minimal: no block contains a convex
@@ -29,6 +29,7 @@ from .terms import (
     Zeta,
     desugar,
 )
+from .textio import print_term
 
 
 class StuckError(Exception):
@@ -128,7 +129,10 @@ _REV_KIND = {"N": "N~", "N~": "N", "Z": "Z"}
 
 def _pow_atoms(kind: str, body: tuple[ScatAtom, ...]) -> tuple[ScatAtom, ...]:
     # Rotation: if moving the boundary component across the repetition
-    # shortens the body (a junction fires), peel it off and repeat.
+    # shortens the body (a junction fires), peel it off and repeat.  The
+    # N~ rotation is the mirror image of the N rotation.
+    if kind == "N~":
+        return _atoms_reverse(_pow_atoms("N", _atoms_reverse(body)))
     if kind == "N":
         prefix: tuple[ScatAtom, ...] = ()
         while len(body) > 1:
@@ -138,15 +142,6 @@ def _pow_atoms(kind: str, body: tuple[ScatAtom, ...]) -> tuple[ScatAtom, ...]:
             prefix = _concat_atoms(prefix, body[:1])
             body = rot
         return _concat_atoms(prefix, (Pow("N", body),))
-    if kind == "N~":
-        suffix: tuple[ScatAtom, ...] = ()
-        while len(body) > 1:
-            rot = _concat_atoms(body[-1:], body[:-1])
-            if len(rot) >= len(body):
-                break
-            suffix = _concat_atoms(body[-1:], suffix)
-            body = rot
-        return _concat_atoms((Pow("N~", body),), suffix)
     return (Pow("Z", body),)
 
 
@@ -383,7 +378,8 @@ def _push(out: list, comp) -> None:
     out.append(comp)
 
 
-def _concat_components(*lists) -> tuple:
+def concat_components(*lists) -> tuple:
+    """Concatenate component sequences, applying the junction merge rules."""
     out: list = []
     for comps in lists:
         for comp in comps:
@@ -396,10 +392,10 @@ def _repeat_form(cf: CanonicalForm, n: int) -> CanonicalForm:
     piece = cf.components
     while n:
         if n & 1:
-            result = _concat_components(result, piece)
+            result = concat_components(result, piece)
         n >>= 1
         if n:
-            piece = _concat_components(piece, piece)
+            piece = concat_components(piece, piece)
     return CanonicalForm(result)
 
 
@@ -490,7 +486,7 @@ def _canon(t: OrderTerm) -> CanonicalForm:
         case Single() | Finite() | Omega() | OmegaStar() | Zeta():
             return CanonicalForm((Scat(_scat(t)),))
         case Sum(a, b):
-            return CanonicalForm(_concat_components(_canon(a).components, _canon(b).components))
+            return CanonicalForm(concat_components(_canon(a).components, _canon(b).components))
         case Shuffle(blocks):
             return CanonicalForm((_canon_shuffle([_canon(b) for b in blocks]),))
         case Product(x, y):
@@ -506,7 +502,7 @@ def _canon_product(x: OrderTerm, y: OrderTerm) -> CanonicalForm:
             return _repeat_form(_canon(y), n)
         case Sum(a, b):
             return CanonicalForm(
-                _concat_components(
+                concat_components(
                     _canon_product(a, y).components, _canon_product(b, y).components
                 )
             )
@@ -549,7 +545,7 @@ def _kappa_product(kind: str, x: OrderTerm, y: OrderTerm) -> CanonicalForm:
     return CanonicalForm((shuf,))
 
 
-# --- conversion back to terms ---
+# --- conversion back to terms, and to DOT ---
 
 
 def _atom_term(a: ScatAtom) -> OrderTerm:
@@ -592,6 +588,46 @@ def cf_to_term(cf: CanonicalForm) -> OrderTerm:
         else:
             parts.append(Shuffle(tuple(cf_to_term(b) for b in comp.blocks)))
     return _fold_sum(parts)
+
+
+def to_dot(cf: CanonicalForm) -> str:
+    """Render a canonical form as a DOT digraph.
+
+    One node per component; consecutive components are chained with
+    solid edges, shuffle nodes fan out to their block subtrees with
+    dashed edges.  Node ids are preorder indices, so output is
+    deterministic.
+    """
+    lines = ["digraph canonical {", "  node [shape=box];"]
+    counter = [0]
+
+    def fresh() -> str:
+        nid = f"n{counter[0]}"
+        counter[0] += 1
+        return nid
+
+    def emit_chain(components) -> list[str]:
+        ids = []
+        for comp in components:
+            nid = fresh()
+            ids.append(nid)
+            if isinstance(comp, Scat):
+                label = print_term(cf_to_term(CanonicalForm((comp,))))
+                lines.append(f'  {nid} [label="{label}"];')
+            else:
+                assert isinstance(comp, Shuf)
+                lines.append(f'  {nid} [label="Q[{len(comp.blocks)}]", shape=ellipse];')
+                for block in comp.blocks:
+                    block_ids = emit_chain(block.components)
+                    lines.append(f"  {nid} -> {block_ids[0]} [style=dashed];")
+        for a, b in zip(ids, ids[1:]):
+            lines.append(f"  {a} -> {b};")
+        return ids
+
+    if cf.components:
+        emit_chain(cf.components)
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def reverse_form(cf: CanonicalForm) -> CanonicalForm:

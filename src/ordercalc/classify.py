@@ -10,8 +10,10 @@ match blocks, which splits the absorbing orders into eight classes.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .canon import (
     CanonicalForm,
@@ -21,14 +23,14 @@ from .canon import (
     Shuf,
     StuckError,
     UnsupportedError,
-    _concat_components,
     canonicalize,
     cf_equal,
     cf_to_term,
+    concat_components,
     is_final_segment,
     is_initial_segment,
 )
-from .profiles import DenseClass, profile
+from .profiles import DenseClass, StructProfile, profile
 from .terms import Empty, OrderTerm, Product, Single, desugar
 
 _ONE = CanonicalForm((Scat((Fin(1),)),))
@@ -132,41 +134,63 @@ def _matches_block(part: CanonicalForm, blocks) -> bool:
     return any(cf_equal(part, b) is Equality.EQUAL for b in blocks)
 
 
+def _case_bits(d: Decomposition) -> tuple[bool, bool, bool, bool, bool]:
+    """(L empty, R empty, L is a block, R is a block, R + L is a block)."""
+    l_empty = not d.left.components
+    r_empty = not d.right.components
+    b_left = not l_empty and _matches_block(d.left, d.blocks)
+    b_right = not r_empty and _matches_block(d.right, d.blocks)
+    b_junction = not (l_empty or r_empty) and _matches_block(
+        CanonicalForm(concat_components(d.right.components, d.left.components)), d.blocks
+    )
+    return l_empty, r_empty, b_left, b_right, b_junction
+
+
+class _Case(NamedTuple):
+    bits: tuple[bool, bool, bool, bool, bool]
+    spectrum: Spectrum
+    admits: Callable[[StructProfile], bool]  # the condition on A's profile
+
+
+# The eight absorbing cases, keyed by case number; bits as in _case_bits.
+_CASES = {
+    1: _Case((True, True, False, False, False), Spectrum.ALL, lambda p: True),
+    2: _Case((False, True, True, False, False), Spectrum.HAS_LEFT,
+             lambda p: p.has_left_endpoint),
+    3: _Case((True, False, False, True, False), Spectrum.HAS_RIGHT,
+             lambda p: p.has_right_endpoint),
+    4: _Case((False, False, True, True, False), Spectrum.EXACTLY_ONE_Q_ONE_OR_1,
+             lambda p: p.dense_class is DenseClass.ONE_Q_ONE or p.size == 1),
+    5: _Case((False, False, False, False, True), Spectrum.BOTH_ENDS_SUCC_PRED_COMPLETE,
+             lambda p: (p.has_left_endpoint and p.has_right_endpoint
+                        and p.succ_complete and p.pred_complete)),
+    6: _Case((False, False, True, False, True), Spectrum.BOTH_ENDS_SUCC_COMPLETE,
+             lambda p: p.has_left_endpoint and p.has_right_endpoint and p.succ_complete),
+    7: _Case((False, False, False, True, True), Spectrum.BOTH_ENDS_PRED_COMPLETE,
+             lambda p: p.has_left_endpoint and p.has_right_endpoint and p.pred_complete),
+    8: _Case((False, False, True, True, True), Spectrum.BOTH_ENDS,
+             lambda p: p.has_left_endpoint and p.has_right_endpoint),
+}
+_CASE_OF_BITS = {row.bits: n for n, row in _CASES.items()}
+
+
 def classify_absorption(t: OrderTerm) -> AbsorptionClass:
     """Decide whether t is left-absorbing and, if so, which class it is in."""
     ss = is_self_similar(t)
     if not ss:
         return NotSelfSimilar(ss.reason)
     d = ss.decomposition
-    l_empty = not d.left.components
-    r_empty = not d.right.components
-    if l_empty and r_empty:
-        return AbsorptionCase(1, d)
-    b_left = not l_empty and _matches_block(d.left, d.blocks)
-    b_right = not r_empty and _matches_block(d.right, d.blocks)
-    if r_empty:
-        if b_left:
-            return AbsorptionCase(2, d)
-        return SelfSimilarNotAbsorbing("left part is not a block", d)
-    if l_empty:
-        if b_right:
-            return AbsorptionCase(3, d)
-        return SelfSimilarNotAbsorbing("right part is not a block", d)
-    junction = CanonicalForm(_concat_components(d.right.components, d.left.components))
-    b_junction = _matches_block(junction, d.blocks)
-    if not b_junction:
-        if b_left and b_right:
-            return AbsorptionCase(4, d)
-        return SelfSimilarNotAbsorbing(
-            "neither the junction nor both of the outer parts match blocks", d
-        )
-    if b_left and b_right:
-        return AbsorptionCase(8, d)
-    if b_left:
-        return AbsorptionCase(6, d)
-    if b_right:
-        return AbsorptionCase(7, d)
-    return AbsorptionCase(5, d)
+    bits = _case_bits(d)
+    case = _CASE_OF_BITS.get(bits)
+    if case is not None:
+        return AbsorptionCase(case, d)
+    if bits[1]:
+        reason = "left part is not a block"
+    elif bits[0]:
+        reason = "right part is not a block"
+    else:
+        reason = "neither the junction nor both of the outer parts match blocks"
+    return SelfSimilarNotAbsorbing(reason, d)
 
 
 def absorbs(a: OrderTerm, x: OrderTerm) -> bool:
@@ -180,44 +204,18 @@ def absorbs(a: OrderTerm, x: OrderTerm) -> bool:
     if a == Single():
         return True
     pa = profile(a)
-    match classify_absorption(x):
-        case AbsorptionCase(1, _):
-            return True
-        case AbsorptionCase(2, _):
-            return pa.has_left_endpoint
-        case AbsorptionCase(3, _):
-            return pa.has_right_endpoint
-        case AbsorptionCase(4, _):
-            return pa.dense_class is DenseClass.ONE_Q_ONE or pa.size == 1
-        case AbsorptionCase(5, _):
-            return (pa.has_left_endpoint and pa.has_right_endpoint
-                    and pa.succ_complete and pa.pred_complete)
-        case AbsorptionCase(6, _):
-            return pa.has_left_endpoint and pa.has_right_endpoint and pa.succ_complete
-        case AbsorptionCase(7, _):
-            return pa.has_left_endpoint and pa.has_right_endpoint and pa.pred_complete
-        case AbsorptionCase(8, _):
-            return pa.has_left_endpoint and pa.has_right_endpoint
-        case _:
-            return pa.size == 1
+    verdict = classify_absorption(x)
+    if isinstance(verdict, AbsorptionCase):
+        return _CASES[verdict.case].admits(pa)
+    return pa.size == 1
 
 
 def spectrum_description(x: OrderTerm) -> Spectrum:
     """Which orders A satisfy A*X = X, as a class description."""
-    match classify_absorption(desugar(x)):
-        case AbsorptionCase(n, _):
-            return {
-                1: Spectrum.ALL,
-                2: Spectrum.HAS_LEFT,
-                3: Spectrum.HAS_RIGHT,
-                4: Spectrum.EXACTLY_ONE_Q_ONE_OR_1,
-                5: Spectrum.BOTH_ENDS_SUCC_PRED_COMPLETE,
-                6: Spectrum.BOTH_ENDS_SUCC_COMPLETE,
-                7: Spectrum.BOTH_ENDS_PRED_COMPLETE,
-                8: Spectrum.BOTH_ENDS,
-            }[n]
-        case _:
-            return Spectrum.TRIVIAL_ONLY
+    verdict = classify_absorption(desugar(x))
+    if isinstance(verdict, AbsorptionCase):
+        return _CASES[verdict.case].spectrum
+    return Spectrum.TRIVIAL_ONLY
 
 
 def is_square(x: OrderTerm) -> bool:
@@ -244,11 +242,8 @@ def square_two_endpoints(x: OrderTerm) -> bool | None:
     d = decompose(x)
     if d is None:
         return False
+    _, _, b_left, b_right, b_junction = _case_bits(d)
     blocks = d.blocks
-    b_left = _matches_block(d.left, blocks)
-    b_right = _matches_block(d.right, blocks)
-    junction = CanonicalForm(_concat_components(d.right.components, d.left.components))
-    b_junction = _matches_block(junction, blocks)
     bp = [profile(cf_to_term(b)) for b in blocks]
     if d.left == _ONE and d.right == _ONE and blocks == (_ONE,):
         return True
@@ -269,22 +264,5 @@ def absorption_case_predicates(t: OrderTerm) -> list[bool]:
     d = decompose(t)
     if d is None:
         return [False] * 8
-    l_empty = not d.left.components
-    r_empty = not d.right.components
-    b_left = not l_empty and _matches_block(d.left, d.blocks)
-    b_right = not r_empty and _matches_block(d.right, d.blocks)
-    if l_empty or r_empty:
-        b_junction = False
-    else:
-        junction = CanonicalForm(_concat_components(d.right.components, d.left.components))
-        b_junction = _matches_block(junction, d.blocks)
-    return [
-        l_empty and r_empty,
-        b_left and r_empty,
-        b_right and l_empty,
-        b_left and b_right and not b_junction,
-        b_junction and not b_left and not b_right,
-        b_junction and b_left and not b_right,
-        b_junction and b_right and not b_left,
-        b_junction and b_left and b_right,
-    ]
+    bits = _case_bits(d)
+    return [row.bits == bits for row in _CASES.values()]

@@ -17,6 +17,7 @@ from .canon import (
     UnsupportedError,
     canonicalize,
     cf_to_term,
+    to_dot,
 )
 from .classify import (
     AbsorptionCase,
@@ -32,7 +33,7 @@ from .classify import (
 from .oracle import MatchFailure, back_and_forth, cross_check, enumerate_points
 from .profiles import profile
 from .terms import ValidationError
-from .textio import ParseError, ast_repr, parse, print_term, to_dot
+from .textio import ParseError, ast_repr, parse, print_term
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -54,15 +55,18 @@ def _json_code(c):
     return c
 
 
+# Each command returns (text, JSON payload, exit code).
+
+
 def _cmd_parse(args):
     t = parse(args.expr)
-    return ast_repr(t), ast_repr(t)
+    return ast_repr(t), ast_repr(t), EXIT_OK
 
 
 def _cmd_norm(args):
     cf = canonicalize(parse(args.expr))
     text = print_term(cf_to_term(cf))
-    return text, text
+    return text, text, EXIT_OK
 
 
 def _cmd_classify(args):
@@ -74,17 +78,19 @@ def _cmd_classify(args):
                 [f"case {n}", f"L: {fields['L']}",
                  f"blocks: [{', '.join(fields['blocks'])}]", f"R: {fields['R']}"]
             )
-            return text, {"verdict": f"case {n}", "case": n} | fields
+            return text, {"verdict": f"case {n}", "case": n} | fields, EXIT_OK
         case SelfSimilarNotAbsorbing(reason, d):
             fields = _decomposition_fields(d)
             return (
                 f"self-similar, not left-absorbing ({reason})",
                 {"verdict": "self-similar, not left-absorbing", "reason": reason} | fields,
+                EXIT_OK,
             )
         case NotSelfSimilar(reason):
             return (
                 f"not self-similar ({reason})",
                 {"verdict": "not self-similar", "reason": reason},
+                EXIT_OK,
             )
     raise AssertionError
 
@@ -92,35 +98,35 @@ def _cmd_classify(args):
 def _cmd_absorbs(args):
     verdict = absorbs(parse(args.a), parse(args.x))
     s = "true" if verdict else "false"
-    return s, s
+    return s, s, EXIT_OK
 
 
 def _cmd_spectrum(args):
     s = spectrum_description(parse(args.expr)).value
-    return s, s
+    return s, s, EXIT_OK
 
 
 def _cmd_square(args):
     s = "true" if is_square(parse(args.expr)) else "false"
-    return s, s
+    return s, s, EXIT_OK
 
 
 def _cmd_square2(args):
     verdict = square_two_endpoints(parse(args.expr))
     s = "not applicable" if verdict is None else ("true" if verdict else "false")
-    return s, s
+    return s, s, EXIT_OK
 
 
 def _cmd_selfsim(args):
     ss = is_self_similar(parse(args.expr))
     s = "true" if ss else f"false ({ss.reason})"
-    return s, "true" if ss else "false"
+    return s, "true" if ss else "false", EXIT_OK
 
 
 def _cmd_enum(args):
     pts = enumerate_points(parse(args.expr), args.count)
     text = "\n".join(str(c) for c in pts)
-    return text, {"points": [_json_code(c) for c in pts]}
+    return text, {"points": [_json_code(c) for c in pts]}, EXIT_OK
 
 
 def _cmd_check(args):
@@ -152,7 +158,7 @@ def _cmd_bnf(args):
 
 def _cmd_dot(args):
     text = to_dot(canonicalize(parse(args.expr))).rstrip("\n")
-    return text, text
+    return text, text, EXIT_OK
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -206,9 +212,7 @@ def run(argv: list[str]) -> int:
     args = _build_parser().parse_args(argv)
     inputs = _inputs(args)
     try:
-        result = args.fn(args)
-        text, payload = result[0], result[1]
-        code = result[2] if len(result) > 2 else EXIT_OK
+        text, payload, code = args.fn(args)
         if args.json:
             _emit_json(args.command, inputs, {"result": payload})
         else:

@@ -205,73 +205,45 @@ def _least(t: OrderTerm) -> PointCode:
     raise AssertionError
 
 
-def _above(t: OrderTerm, c: PointCode) -> PointCode | None:
-    # Some point strictly above c; None exactly when c is the maximum.
+def _step(t: OrderTerm, c: PointCode, up: bool) -> PointCode | None:
+    # Some point strictly above c (up) or below it; None exactly when c
+    # is the maximum (up) or the minimum.
     match t:
         case Single():
             return None
         case Finite(n):
-            return c + 1 if c < n - 1 else None
-        case Omega():
-            return c + 1
-        case OmegaStar():
-            return c - 1 if c > 0 else None
+            r = c + 1 if up else c - 1
+            return r if 0 <= r < n else None
+        case Omega() | OmegaStar():
+            # Codes count away from the endpoint: 0 is the minimum of N
+            # and the maximum of N~.
+            r = c + 1 if up == isinstance(t, Omega) else c - 1
+            return r if r >= 0 else None
         case Zeta():
-            return c + 1
+            return c + 1 if up else c - 1
         case Sum(a, b):
             side, inner = c
-            if side == 0:
-                r = _above(a, inner)
-                return (0, r) if r is not None else (1, _least(b))
-            r = _above(b, inner)
-            return (1, r) if r is not None else None
-        case Product(x, y):
-            cx, cy = c
-            r = _above(y, cy)
+            r = _step(b if side else a, inner, up)
             if r is not None:
-                return (cx, r)
-            rx = _above(x, cx)
-            return (rx, _least(y)) if rx is not None else None
-        case Shuffle(blocks):
-            pos, inner = c
-            r = _above(blocks[len(pos) % len(blocks)], inner)
-            if r is not None:
-                return (pos, r)
-            nxt = pos + "R"
-            return (nxt, _least(blocks[len(nxt) % len(blocks)]))
-    raise AssertionError
-
-
-def _below(t: OrderTerm, c: PointCode) -> PointCode | None:
-    match t:
-        case Single():
+                return (side, r)
+            if up and side == 0:
+                return (1, _least(b))
+            if not up and side == 1:
+                return (0, _least(a))
             return None
-        case Finite() | Omega():
-            return c - 1 if c > 0 else None
-        case OmegaStar():
-            return c + 1
-        case Zeta():
-            return c - 1
-        case Sum(a, b):
-            side, inner = c
-            if side == 1:
-                r = _below(b, inner)
-                return (1, r) if r is not None else (0, _least(a))
-            r = _below(a, inner)
-            return (0, r) if r is not None else None
         case Product(x, y):
             cx, cy = c
-            r = _below(y, cy)
+            r = _step(y, cy, up)
             if r is not None:
                 return (cx, r)
-            rx = _below(x, cx)
+            rx = _step(x, cx, up)
             return (rx, _least(y)) if rx is not None else None
         case Shuffle(blocks):
             pos, inner = c
-            r = _below(blocks[len(pos) % len(blocks)], inner)
+            r = _step(blocks[len(pos) % len(blocks)], inner, up)
             if r is not None:
                 return (pos, r)
-            nxt = pos + "L"
+            nxt = pos + ("R" if up else "L")
             return (nxt, _least(blocks[len(nxt) % len(blocks)]))
     raise AssertionError
 
@@ -299,10 +271,10 @@ def _between(t: OrderTerm, a: PointCode, b: PointCode) -> PointCode | None:
             if sa == sb:
                 r = _between(left if sa == 0 else right, ia, ib)
                 return (sa, r) if r is not None else None
-            r = _above(left, ia)
+            r = _step(left, ia, True)
             if r is not None:
                 return (0, r)
-            r = _below(right, ib)
+            r = _step(right, ib, False)
             if r is not None:
                 return (1, r)
             return None
@@ -311,13 +283,13 @@ def _between(t: OrderTerm, a: PointCode, b: PointCode) -> PointCode | None:
             if xa == xb:
                 r = _between(y, ya, yb)
                 return (xa, r) if r is not None else None
-            r = _above(y, ya)
+            r = _step(y, ya, True)
             if r is not None:
                 return (xa, r)
             m = _between(x, xa, xb)
             if m is not None:
                 return (m, _least(y))
-            r = _below(y, yb)
+            r = _step(y, yb, False)
             if r is not None:
                 return (xb, r)
             return None
@@ -443,9 +415,9 @@ def _extend(tgt: OrderTerm, anchors: list[tuple], src_term: OrderTerm,
         else:
             hi = mid
     if lo == 0:
-        return _below(tgt, anchors[0][1])
+        return _step(tgt, anchors[0][1], False)
     if lo == len(anchors):
-        return _above(tgt, anchors[-1][1])
+        return _step(tgt, anchors[-1][1], True)
     a = anchors[lo - 1][1]
     b = anchors[lo][1]
     return _between(tgt, a, b)
@@ -455,6 +427,29 @@ def _fresh_codes(t: OrderTerm, used: set):
     for c in _enum_iter(t):
         if c not in used:
             yield c
+
+
+def _match_rounds(x: OrderTerm, y: OrderTerm, rounds: int, image,
+                  reason: str) -> PartialIso | MatchFailure:
+    # The round loop shared by both matchings: odd rounds take the
+    # least-enumerated unmatched point of x, even rounds of y, and
+    # image(side, src) picks its partner on the other side (None: no
+    # order-consistent partner, a failure for `reason`).
+    pairs: list[tuple[PointCode, PointCode]] = []
+    used = (set(), set())
+    gens = (_fresh_codes(x, used[0]), _fresh_codes(y, used[1]))
+    for r in range(1, rounds + 1):
+        side = 0 if r % 2 == 1 else 1
+        src = next(gens[side], None)
+        if src is None:
+            break
+        tgt = image(side, src)
+        if tgt is None:
+            return MatchFailure(r, reason)
+        used[side].add(src)
+        used[1 - side].add(tgt)
+        pairs.append((src, tgt) if side == 0 else (tgt, src))
+    return PartialIso(tuple(pairs))
 
 
 def back_and_forth(x: OrderTerm, y: OrderTerm, rounds: int,
@@ -473,28 +468,18 @@ def back_and_forth(x: OrderTerm, y: OrderTerm, rounds: int,
     y = desugar(y)
     if block_map is not None:
         return _colored(x, y, rounds, block_map)
-    pairs: list[tuple[PointCode, PointCode]] = []
     sorted_pairs: list[tuple[PointCode, PointCode]] = []
-    used = (set(), set())
-    gens = (_fresh_codes(x, used[0]), _fresh_codes(y, used[1]))
-    for r in range(1, rounds + 1):
-        side = 0 if r % 2 == 1 else 1
+
+    def image(side: int, src: PointCode) -> PointCode | None:
         src_term, tgt_term = (x, y) if side == 0 else (y, x)
-        try:
-            src = next(gens[side])
-        except StopIteration:
-            break
         anchors = [(p[side], p[1 - side]) for p in sorted_pairs]
         tgt = _extend(tgt_term, anchors, src_term, src)
-        if tgt is None:
-            return MatchFailure(r, "no order-consistent image exists")
-        used[side].add(src)
-        used[1 - side].add(tgt)
-        pair = (src, tgt) if side == 0 else (tgt, src)
-        pairs.append(pair)
-        sorted_pairs.append(pair)
-        sorted_pairs.sort(key=cmp_to_key(lambda p, q: _cmp(x, p[0], q[0])))
-    return PartialIso(tuple(pairs))
+        if tgt is not None:
+            sorted_pairs.append((src, tgt) if side == 0 else (tgt, src))
+            sorted_pairs.sort(key=cmp_to_key(lambda p, q: _cmp(x, p[0], q[0])))
+        return tgt
+
+    return _match_rounds(x, y, rounds, image, "no order-consistent image exists")
 
 
 def _pos_find(lo: str | None, hi: str | None, residue: int, k: int,
@@ -526,15 +511,11 @@ def _colored(x: OrderTerm, y: OrderTerm, rounds: int,
     inv = {v: k for k, v in block_map.items()}
     copy_of = ({}, {})  # matched position -> its image, per side
     sub: dict[tuple[str, str], list[tuple[PointCode, PointCode]]] = {}
-    pairs: list[tuple[PointCode, PointCode]] = []
-    used = (set(), set())
-    gens = (_fresh_codes(x, used[0]), _fresh_codes(y, used[1]))
-    for r in range(1, rounds + 1):
-        side = 0 if r % 2 == 1 else 1
+
+    def image(side: int, src: PointCode) -> PointCode | None:
         src_shuffle, tgt_shuffle = (x, y) if side == 0 else (y, x)
         fwd = block_map if side == 0 else inv
         k_src, k_tgt = (kx, ky) if side == 0 else (ky, kx)
-        src = next(gens[side])
         pos, inner = src
         src_block = src_shuffle.blocks[len(pos) % k_src]
         if pos in copy_of[side]:
@@ -546,7 +527,7 @@ def _colored(x: OrderTerm, y: OrderTerm, rounds: int,
             tgt_block = tgt_shuffle.blocks[len(tpos) % k_tgt]
             j = _extend(tgt_block, anchors, src_block, inner)
             if j is None:
-                return MatchFailure(r, "no order-consistent image inside the matched copy")
+                return None
         else:
             neighbours = sorted(copy_of[side], key=cmp_to_key(_pos_cmp))
             lo_img = hi_img = None
@@ -564,12 +545,11 @@ def _colored(x: OrderTerm, y: OrderTerm, rounds: int,
             copy_of[1 - side][tpos] = pos
             key = (pos, tpos) if side == 0 else (tpos, pos)
             sub[key] = []
-        tgt = (tpos, j)
-        used[side].add(src)
-        used[1 - side].add(tgt)
-        pairs.append((src, tgt) if side == 0 else (tgt, src))
         sub[key].append((inner, j) if side == 0 else (j, inner))
-    return PartialIso(tuple(pairs))
+        return (tpos, j)
+
+    return _match_rounds(x, y, rounds, image,
+                         "no order-consistent image inside the matched copy")
 
 
 # ---------------------------------------------------------------------------

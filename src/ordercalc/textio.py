@@ -1,4 +1,4 @@
-"""Parser, pretty-printer, and DOT emitter for the expression language.
+"""Parser and pretty-printer for the expression language.
 
 Grammar::
 
@@ -233,45 +233,3 @@ def ast_repr(t: OrderTerm) -> str:
         case Reverse(body):
             return f"Reverse({ast_repr(body)})"
     raise TypeError(f"not an OrderTerm: {t!r}")
-
-
-def to_dot(cf) -> str:
-    """Render a canonical form as a DOT digraph.
-
-    One node per component; consecutive components are chained with
-    solid edges, shuffle nodes fan out to their block subtrees with
-    dashed edges.  Node ids are preorder indices, so output is
-    deterministic.
-    """
-    from .canon import CanonicalForm, Scat, Shuf, cf_to_term
-
-    lines = ["digraph canonical {", "  node [shape=box];"]
-    counter = [0]
-
-    def fresh() -> str:
-        nid = f"n{counter[0]}"
-        counter[0] += 1
-        return nid
-
-    def emit_chain(components) -> list[str]:
-        ids = []
-        for comp in components:
-            nid = fresh()
-            ids.append(nid)
-            if isinstance(comp, Scat):
-                label = print_term(cf_to_term(CanonicalForm((comp,))))
-                lines.append(f'  {nid} [label="{label}"];')
-            else:
-                assert isinstance(comp, Shuf)
-                lines.append(f'  {nid} [label="Q[{len(comp.blocks)}]", shape=ellipse];')
-                for block in comp.blocks:
-                    block_ids = emit_chain(block.components)
-                    lines.append(f"  {nid} -> {block_ids[0]} [style=dashed];")
-        for a, b in zip(ids, ids[1:]):
-            lines.append(f"  {a} -> {b};")
-        return ids
-
-    if cf.components:
-        emit_chain(cf.components)
-    lines.append("}")
-    return "\n".join(lines) + "\n"

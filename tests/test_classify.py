@@ -119,6 +119,13 @@ ABSORB_TRUE = [
     ("1+Q+1", "Z + Q[Z] + Z"),
     ("N+N~", "N + Q[Z] + N~"),
     ("1", "N + Q[Z]"),
+    # Cases 5-8 told apart: N+1 is absorbed by cases 6 and 8 only, 1+N~
+    # by cases 7 and 8 only, 1+Q+1 by case 8 only.
+    ("N+1", "N + Q[Z,N] + N~"),
+    ("N+1", "N + Q[N,N~,Z] + N~"),
+    ("1+N~", "N + Q[N~,Z] + N~"),
+    ("1+N~", "N + Q[N,N~,Z] + N~"),
+    ("1+Q+1", "N + Q[N,N~,Z] + N~"),
 ]
 
 ABSORB_FALSE = [
@@ -126,6 +133,12 @@ ABSORB_FALSE = [
     ("2", "N + Q[Z]"),
     ("2", "Z + Q[Z] + Z"),
     ("1+Q+1", "N + Q[Z] + N~"),
+    ("N+1", "N + Q[Z] + N~"),
+    ("N+1", "N + Q[N~,Z] + N~"),
+    ("1+N~", "N + Q[Z] + N~"),
+    ("1+N~", "N + Q[Z,N] + N~"),
+    ("1+Q+1", "N + Q[Z,N] + N~"),
+    ("1+Q+1", "N + Q[N~,Z] + N~"),
 ]
 
 
@@ -156,6 +169,8 @@ def test_absorbs_empty_edge_cases():
         ("Z + Q[Z] + Z", Spectrum.EXACTLY_ONE_Q_ONE_OR_1),
         ("N + Q[Z] + N~", Spectrum.BOTH_ENDS_SUCC_PRED_COMPLETE),
         ("N + Q[Z,N] + N~", Spectrum.BOTH_ENDS_SUCC_COMPLETE),
+        ("N + Q[N~,Z] + N~", Spectrum.BOTH_ENDS_PRED_COMPLETE),
+        ("N + Q[N,N~,Z] + N~", Spectrum.BOTH_ENDS),
         ("Z", Spectrum.TRIVIAL_ONLY),
     ],
 )

@@ -133,6 +133,16 @@ def test_colored_back_and_forth_respects_blocks():
         assert {0: 1, 1: 0}[len(pos_x) % 2] == len(pos_y) % 2
 
 
+def test_colored_back_and_forth_transcript_is_pinned():
+    result = back_and_forth(T("Q[N,Z]"), T("Q[Z,N]"), 12, block_map={0: 1, 1: 0})
+    assert result.pairs == (
+        (("", 0), ("L", 0)), (("R", 0), ("", 0)), (("", 1), ("L", 1)),
+        (("R", -1), ("", -1)), (("L", 0), ("LL", 0)), (("R", 1), ("", 1)),
+        (("", 2), ("L", 2)), (("RR", 0), ("R", 0)), (("L", -1), ("LL", -1)),
+        (("R", -2), ("", -2)), (("L", 1), ("LL", 1)), (("R", 2), ("", 2)),
+    )
+
+
 def test_colored_identity_shuffle():
     x = T("Q[Z]")
     result = back_and_forth(x, x, 10, block_map={0: 0})
