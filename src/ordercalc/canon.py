@@ -131,18 +131,18 @@ def _pow_atoms(kind: str, body: tuple[ScatAtom, ...]) -> tuple[ScatAtom, ...]:
     # Rotation: if moving the boundary component across the repetition
     # shortens the body (a junction fires), peel it off and repeat.  The
     # N~ rotation is the mirror image of the N rotation.
+    if kind == "Z":
+        return (Pow("Z", body),)
     if kind == "N~":
         return _atoms_reverse(_pow_atoms("N", _atoms_reverse(body)))
-    if kind == "N":
-        prefix: tuple[ScatAtom, ...] = ()
-        while len(body) > 1:
-            rot = _concat_atoms(body[1:], body[:1])
-            if len(rot) >= len(body):
-                break
-            prefix = _concat_atoms(prefix, body[:1])
-            body = rot
-        return _concat_atoms(prefix, (Pow("N", body),))
-    return (Pow("Z", body),)
+    prefix: tuple[ScatAtom, ...] = ()
+    while len(body) > 1:
+        rot = _concat_atoms(body[1:], body[:1])
+        if len(rot) >= len(body):
+            break
+        prefix = _concat_atoms(prefix, body[:1])
+        body = rot
+    return _concat_atoms(prefix, (Pow("N", body),))
 
 
 def _contains_shuffle(t: OrderTerm) -> bool:
@@ -439,13 +439,15 @@ def _try_flatten(blocks: tuple[CanonicalForm, ...]) -> tuple[CanonicalForm, ...]
                 pieces.append(CanonicalForm((comp,)))
         candidate = _dedup_sort(pieces)
         # Flattening a composite block is only an isomorphism when the
-        # combined block set reproduces one of the block's own inner
-        # sets.  Firing unconditionally would collapse Q[1 + Q[Z]] to
-        # Q[1, Z], which is wrong: the chunk 1 + Q[Z] contains no
-        # convex copy of Q[1, Z], so { 1 + Q[Z] } is already minimal.
-        for shuf in inner_sets:
-            if _blockset_eq(candidate, shuf.blocks):
-                return candidate
+        # combined block set reproduces every one of the block's inner
+        # sets: then every inner shuffle is dense in every block of the
+        # result, and so is the whole.  Q[1 + Q[Z]] is not Q[1, Z]: the
+        # chunk 1 + Q[Z] contains no convex copy of Q[1, Z].  Nor is
+        # Q[Q[1,2] + Q] the Q[1,2] that matching one inner set would
+        # give: every copy of its block ends in an interval with no
+        # successor pair, and Q[1,2] has no such interval.
+        if all(_blockset_eq(candidate, shuf.blocks) for shuf in inner_sets):
+            return candidate
     return None
 
 

@@ -31,7 +31,7 @@ from .canon import (
     is_initial_segment,
 )
 from .profiles import DenseClass, StructProfile, profile
-from .terms import Empty, OrderTerm, Product, Single, desugar
+from .terms import Empty, OrderTerm, Single, desugar
 
 _ONE = CanonicalForm((Scat((Fin(1),)),))
 
@@ -184,9 +184,10 @@ def classify_absorption(t: OrderTerm) -> AbsorptionClass:
     case = _CASE_OF_BITS.get(bits)
     if case is not None:
         return AbsorptionCase(case, d)
-    if bits[1]:
+    l_empty, r_empty = bits[:2]
+    if r_empty:
         reason = "left part is not a block"
-    elif bits[0]:
+    elif l_empty:
         reason = "right part is not a block"
     else:
         reason = "neither the junction nor both of the outer parts match blocks"

@@ -56,8 +56,6 @@ def _json_code(c):
 
 
 # Each command returns (text, JSON payload, exit code).
-
-
 def _cmd_parse(args):
     t = parse(args.expr)
     return ast_repr(t), ast_repr(t), EXIT_OK
@@ -161,6 +159,16 @@ def _cmd_dot(args):
     return text, text, EXIT_OK
 
 
+def _natural(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer 0 or more, got {text!r}")
+    return n
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="ordercalc",
                                  description="symbolic calculator for countable order types")
@@ -171,9 +179,9 @@ def _build_parser() -> argparse.ArgumentParser:
         for f in fields:
             p.add_argument(f)
         if count is not None:
-            p.add_argument("-n", dest="count", type=int, default=count)
+            p.add_argument("-n", dest="count", type=_natural, default=count)
         if rounds is not None:
-            p.add_argument("-r", dest="rounds", type=int, default=rounds)
+            p.add_argument("-r", dest="rounds", type=_natural, default=rounds)
         p.add_argument("--json", action="store_true")
         p.set_defaults(fn=fn)
 

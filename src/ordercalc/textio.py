@@ -192,8 +192,17 @@ def _pr(t: OrderTerm, need: int) -> str:
             s, prec = _pr(body, _POST) + "~", _POST
         case Product(x, y):
             s, prec = _pr(x, _PROD) + "*" + _pr(y, _POST), _PROD
-        case Sum(a, b):
-            s, prec = _pr(a, _SUM) + " + " + _pr(b, _PROD), _SUM
+        case Sum():
+            # Sums nest to the left; walk the spine with a loop, so that
+            # a long sum does not recurse once per summand.
+            rights = []
+            while isinstance(t, Sum):
+                rights.append(t.right)
+                t = t.left
+            parts = [_pr(t, _SUM)]
+            for r in reversed(rights):
+                parts.append(_pr(r, _PROD))
+            s, prec = " + ".join(parts), _SUM
         case _:
             raise TypeError(f"not an OrderTerm: {t!r}")
     return f"({s})" if prec < need else s

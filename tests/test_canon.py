@@ -7,6 +7,7 @@ from ordercalc import (
     Equality,
     Fin,
     Pow,
+    Product,
     Reverse,
     Scat,
     Shuf,
@@ -14,6 +15,7 @@ from ordercalc import (
     W,
     Wstar,
     Zat,
+    absorbs,
     canonicalize,
     cf_equal,
     cf_to_term,
@@ -100,6 +102,21 @@ def test_non_flattening_regression():
         fact_sets.append({point_profile(t, c) for c in enumerate_points(t, 300)})
     assert fact_sets[0] == fact_sets[1]
     assert cf_equal(canonicalize(a), canonicalize(b)) is Equality.NOT_EQUAL
+
+
+
+def test_no_flattening_when_one_inner_set_differs():
+    # The block Q[1,2] + Q has the inner sets {1, 2} and {1}; the merged
+    # set {1, 2} reproduces only the first.  Every copy of the block ends
+    # in an interval with no successor pair, which Q[1,2] lacks.
+    assert norm("Q[Q[1,2] + Q]") == "Q[Q[1,2] + Q]"
+    flat = cf_equal(canonicalize(T("Q[Q[1,2] + Q]")), canonicalize(T("Q[1,2]")))
+    assert flat is Equality.NOT_EQUAL
+
+    a, x = T("Q+1"), T("Q[1,2] + Q")
+    eq = cf_equal(canonicalize(Product(a, x)), canonicalize(x))
+    assert eq is Equality.NOT_EQUAL
+    assert absorbs(a, x) is (eq is Equality.EQUAL)
 
 
 def test_stuck_product_is_surfaced():

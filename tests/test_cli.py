@@ -112,6 +112,57 @@ def test_dot(capsys):
     assert out.startswith("digraph")
 
 
+# Oracle transcripts pinned as literals: any change to the point codes,
+# the enumeration order or the choice of images shows up here.
+BNF_Q_JSON = (
+    '{"command": "bnf", "input": ["Q", "Q[1,1+Q]"], "result": {"failed_round": null, '
+    '"pairs": [[["", 0], ["", 0]], [["L", 0], ["L", [0, 0]]], [["R", 0], ["R", [0, 0]]], '
+    '[["LR", 0], ["L", [1, ["", 0]]]], [["LL", 0], ["LL", 0]], [["RR", 0], ["R", [1, '
+    '["", 0]]]], [["RL", 0], ["RL", 0]], [["LRR", 0], ["LR", 0]], [["LLL", 0], ["LLL", '
+    '[0, 0]]], [["RRR", 0], ["RR", 0]], [["LLR", 0], ["LLR", [0, 0]]], [["LRL", 0], '
+    '["L", [1, ["L", 0]]]]]}}'
+)
+
+ENUM_JSON = (
+    '{"command": "enum", "input": "N + Q[Z] + N~", "result": {"points": [[0, [0, 0]], '
+    '[0, [0, 1]], [0, [1, ["", 0]]], [1, 0], [0, [0, 2]], [0, [1, ["", -1]]], [0, [1, '
+    '["", 1]]], [0, [1, ["L", 0]]], [0, [1, ["R", 0]]], [1, 1], [0, [0, 3]], [0, [1, '
+    '["", -2]]], [0, [1, ["", 2]]], [0, [1, ["L", -1]]], [0, [1, ["L", 1]]], [0, [1, '
+    '["R", -1]]], [0, [1, ["R", 1]]], [0, [1, ["LL", 0]]], [0, [1, ["LR", 0]]], [0, [1, '
+    '["RL", 0]]], [0, [1, ["RR", 0]]], [1, 2], [0, [0, 4]], [0, [1, ["", -3]]], [0, [1, '
+    '["", 3]]], [0, [1, ["L", -2]]], [0, [1, ["L", 2]]], [0, [1, ["R", -2]]], [0, [1, '
+    '["R", 2]]], [0, [1, ["LL", -1]]]]}}'
+)
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["bnf", "Q", "Q[1,1+Q]", "-r", "12", "--json"], BNF_Q_JSON),
+        (["enum", "N + Q[Z] + N~", "-n", "30", "--json"], ENUM_JSON),
+    ],
+)
+def test_oracle_transcripts_are_pinned(argv, expected, capsys):
+    assert run(argv) == 0
+    assert _out(capsys)[0] == expected + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["enum", "Q", "-n", "-5"], ["check", "Q", "-n", "-4"], ["bnf", "Q", "Q", "-r", "-3"]],
+)
+def test_negative_count_exits_two(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert "expected an integer 0 or more" in _out(capsys)[1]
+
+
+def test_norm_of_long_sum(capsys):
+    assert run(["norm", "1500*(N+1+N~)"]) == 0
+    assert _out(capsys)[0] == "N + " + "1 + Z + " * 1499 + "1 + N~\n"
+
+
 def test_parse_error_exit_two(capsys):
     assert run(["parse", "2 + + 3"]) == 2
     _, err = _out(capsys)
