@@ -110,20 +110,9 @@ def _concat_atoms(*parts: tuple[ScatAtom, ...]) -> tuple[ScatAtom, ...]:
     return tuple(out)
 
 
-def _repeat_atoms(body: tuple[ScatAtom, ...], n: int) -> tuple[ScatAtom, ...]:
-    result: tuple[ScatAtom, ...] = ()
-    piece = body
-    while n:
-        if n & 1:
-            result = _concat_atoms(result, piece)
-        n >>= 1
-        if n:
-            piece = _concat_atoms(piece, piece)
-    return result
-
-
-_KAPPA_ATOM = {"N": W(), "N~": Wstar(), "Z": Zat()}
-_KAPPA_TERM = {Omega(): "N", OmegaStar(): "N~", Zeta(): "Z"}
+# The infinite atoms: each term, the Pow kind it indexes, and its atom.
+_KAPPA = {Omega(): ("N", W()), OmegaStar(): ("N~", Wstar()), Zeta(): ("Z", Zat())}
+_KAPPA_HEAD = {kind: t for t, (kind, _) in _KAPPA.items()}
 _REV_KIND = {"N": "N~", "N~": "N", "Z": "Z"}
 
 
@@ -162,49 +151,8 @@ def scat_normalize(t: OrderTerm) -> tuple[ScatAtom, ...] | None:
     t = desugar(t)
     if _contains_shuffle(t):
         return None
-    return _scat(t)
-
-
-def _scat(t: OrderTerm) -> tuple[ScatAtom, ...]:
-    match t:
-        case Empty():
-            return ()
-        case Single():
-            return (Fin(1),)
-        case Finite(n):
-            return (Fin(n),)
-        case Omega():
-            return (W(),)
-        case OmegaStar():
-            return (Wstar(),)
-        case Zeta():
-            return (Zat(),)
-        case Sum(a, b):
-            return _concat_atoms(_scat(a), _scat(b))
-        case Product(x, y):
-            return _scat_product(x, y)
-    raise AssertionError(f"unreachable: {t!r}")
-
-
-def _scat_product(x: OrderTerm, y: OrderTerm) -> tuple[ScatAtom, ...]:
-    match x:
-        case Single():
-            return _scat(y)
-        case Finite(n):
-            return _repeat_atoms(_scat(y), n)
-        case Sum(a, b):
-            return _concat_atoms(_scat_product(a, y), _scat_product(b, y))
-        case Product(a, b):
-            return _scat_product(a, Product(b, y))
-        case Omega() | OmegaStar() | Zeta():
-            fib = _scat(y)
-            if not fib:
-                return ()
-            kind = _KAPPA_TERM[x]
-            if len(fib) == 1 and isinstance(fib[0], Fin):
-                return (_KAPPA_ATOM[kind],)
-            return _pow_atoms(kind, fib)
-    raise AssertionError(f"unreachable index: {x!r}")
+    cf = _canon(t)
+    return cf.components[0].atoms if cf.components else ()
 
 
 def _atom_reverse(a: ScatAtom) -> ScatAtom:
@@ -311,10 +259,13 @@ def _unroll_once(cf: CanonicalForm) -> list[CanonicalForm]:
     return out
 
 
-def _unroll_variants(cf: CanonicalForm, depth: int = 2) -> frozenset[CanonicalForm]:
+_UNROLL_DEPTH = 2
+
+
+def _unroll_variants(cf: CanonicalForm) -> frozenset[CanonicalForm]:
     seen = {cf}
     frontier = [cf]
-    for _ in range(depth):
+    for _ in range(_UNROLL_DEPTH):
         nxt = []
         for f in frontier:
             for g in _unroll_once(f):
@@ -485,8 +436,12 @@ def _canon(t: OrderTerm) -> CanonicalForm:
     match t:
         case Empty():
             return EMPTY_FORM
-        case Single() | Finite() | Omega() | OmegaStar() | Zeta():
-            return CanonicalForm((Scat(_scat(t)),))
+        case Single():
+            return CanonicalForm((Scat((Fin(1),)),))
+        case Finite(n):
+            return CanonicalForm((Scat((Fin(n),)),))
+        case Omega() | OmegaStar() | Zeta():
+            return CanonicalForm((Scat((_KAPPA[t][1],)),))
         case Sum(a, b):
             return CanonicalForm(concat_components(_canon(a).components, _canon(b).components))
         case Shuffle(blocks):
@@ -513,11 +468,12 @@ def _canon_product(x: OrderTerm, y: OrderTerm) -> CanonicalForm:
         case Shuffle(blocks):
             return _canon(Shuffle(tuple(Product(i, y) for i in blocks)))
         case Omega() | OmegaStar() | Zeta():
-            return _kappa_product(_KAPPA_TERM[x], x, y)
+            return _kappa_product(x, y)
     raise AssertionError(f"unreachable index: {x!r}")
 
 
-def _kappa_product(kind: str, x: OrderTerm, y: OrderTerm) -> CanonicalForm:
+def _kappa_product(x: OrderTerm, y: OrderTerm) -> CanonicalForm:
+    kind, atom = _KAPPA[x]
     cf = _canon(y)
     shuf_at = [i for i, c in enumerate(cf.components) if isinstance(c, Shuf)]
     if not shuf_at:
@@ -525,7 +481,7 @@ def _kappa_product(kind: str, x: OrderTerm, y: OrderTerm) -> CanonicalForm:
         if not atoms:
             return EMPTY_FORM
         if len(atoms) == 1 and isinstance(atoms[0], Fin):
-            return CanonicalForm((Scat((_KAPPA_ATOM[kind],)),))
+            return CanonicalForm((Scat((atom,)),))
         return CanonicalForm((Scat(_pow_atoms(kind, atoms)),))
     if len(shuf_at) != 1:
         raise StuckError(Product(x, y))
@@ -563,8 +519,7 @@ def _atom_term(a: ScatAtom) -> OrderTerm:
         case Zat():
             return Zeta()
         case Pow(kind, body):
-            head = {"N": Omega(), "N~": OmegaStar(), "Z": Zeta()}[kind]
-            return Product(head, _atoms_term(body))
+            return Product(_KAPPA_HEAD[kind], _atoms_term(body))
     raise AssertionError
 
 

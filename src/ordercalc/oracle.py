@@ -16,8 +16,9 @@ symbolic profiles are all computed from the codes.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cache, cmp_to_key
+from functools import cache
 
 from .profiles import profile
 from .terms import (
@@ -87,43 +88,29 @@ def _check(t: OrderTerm, c: PointCode) -> None:
         raise InvalidCodeError(f"code {c!r} is not a point of {print_term(t)}")
 
 
-def _pos_cmp(p: str, q: str) -> int:
+_POS_DIGITS = str.maketrans("LR", "02")
+
+
+def _pos_key(pos: str) -> str:
     # Infix order on binary tree nodes: at the first divergence or at
-    # the end of the shorter string, L < (stop) < R.
-    for a, b in zip(p, q):
-        if a != b:
-            return -1 if a == "L" else 1
-    if len(p) == len(q):
-        return 0
-    if len(p) < len(q):
-        return 1 if q[len(p)] == "L" else -1
-    return -1 if p[len(q)] == "L" else 1
+    # the end of the shorter string, L < (stop) < R, so L, R and the
+    # final stop become the digits 0, 2 and 1 of a string key.
+    return pos.translate(_POS_DIGITS) + "1"
 
 
-def _sign(d: int) -> int:
-    return (d > 0) - (d < 0)
-
-
-def _cmp(t: OrderTerm, a: PointCode, b: PointCode) -> int:
+def _key(t: OrderTerm, c: PointCode):
+    # A value whose native ordering is the point order of t.
     match t:
-        case Single():
-            return 0
-        case Finite() | Omega() | Zeta():
-            return _sign(a - b)
+        case Single() | Finite() | Omega() | Zeta():
+            return c
         case OmegaStar():
-            return _sign(b - a)
+            return -c
         case Sum(left, right):
-            if a[0] != b[0]:
-                return _sign(a[0] - b[0])
-            return _cmp(left if a[0] == 0 else right, a[1], b[1])
+            return (c[0], _key(right if c[0] else left, c[1]))
         case Product(x, y):
-            c = _cmp(x, a[0], b[0])
-            return c if c else _cmp(y, a[1], b[1])
+            return (_key(x, c[0]), _key(y, c[1]))
         case Shuffle(blocks):
-            c = _pos_cmp(a[0], b[0])
-            if c:
-                return c
-            return _cmp(blocks[len(a[0]) % len(blocks)], a[1], b[1])
+            return (_pos_key(c[0]), _key(blocks[len(c[0]) % len(blocks)], c[1]))
     raise AssertionError
 
 
@@ -132,7 +119,8 @@ def compare(t: OrderTerm, a: PointCode, b: PointCode) -> int:
     t = desugar(t)
     _check(t, a)
     _check(t, b)
-    return _cmp(t, a, b)
+    ka, kb = _key(t, a), _key(t, b)
+    return (ka > kb) - (ka < kb)
 
 
 def _facts(t: OrderTerm, c: PointCode) -> PointFacts:
@@ -192,8 +180,10 @@ def point_profile(t: OrderTerm, c: PointCode) -> PointFacts:
     return _facts(t, c)
 
 
-def _least(t: OrderTerm) -> PointCode:
+def _least(t: OrderTerm) -> PointCode | None:
     match t:
+        case Empty():
+            return None
         case Single() | Finite() | Omega() | OmegaStar() | Zeta():
             return 0
         case Sum(a, _):
@@ -251,10 +241,11 @@ def _step(t: OrderTerm, c: PointCode, up: bool) -> PointCode | None:
 def _pos_between(lo: str, hi: str) -> str:
     # Shortest tree node strictly between lo and hi in infix order.
     m = ""
+    lo_key, hi_key = _pos_key(lo), _pos_key(hi)
     while True:
-        if _pos_cmp(m, lo) <= 0:
+        if _pos_key(m) <= lo_key:
             m += "R"
-        elif _pos_cmp(m, hi) >= 0:
+        elif _pos_key(m) >= hi_key:
             m += "L"
         else:
             return m
@@ -312,7 +303,7 @@ def between(t: OrderTerm, a: PointCode, b: PointCode) -> PointCode | None:
     t = desugar(t)
     _check(t, a)
     _check(t, b)
-    if _cmp(t, a, b) != -1:
+    if not _key(t, a) < _key(t, b):
         raise InvalidCodeError("between requires a < b")
     return _between(t, a, b)
 
@@ -401,26 +392,43 @@ class MatchFailure:
     reason: str
 
 
-def _extend(tgt: OrderTerm, anchors: list[tuple], src_term: OrderTerm,
-            src_code: PointCode) -> PointCode | None:
-    # anchors: (src_code, tgt_code) pairs sorted on the source side.
-    if not anchors:
-        return _least(tgt)
-    lo = 0
-    hi = len(anchors)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _cmp(src_term, anchors[mid][0], src_code) < 0:
-            lo = mid + 1
-        else:
-            hi = mid
-    if lo == 0:
-        return _step(tgt, anchors[0][1], False)
-    if lo == len(anchors):
-        return _step(tgt, anchors[-1][1], True)
-    a = anchors[lo - 1][1]
-    b = anchors[lo][1]
-    return _between(tgt, a, b)
+def _image(t: OrderTerm, lo: PointCode | None, hi: PointCode | None) -> PointCode | None:
+    # Some point of t strictly between lo and hi, where None leaves that
+    # side unbounded; None when there is no such point.
+    if lo is None:
+        return _least(t) if hi is None else _step(t, hi, False)
+    return _step(t, lo, True) if hi is None else _between(t, lo, hi)
+
+
+class _Pairs:
+    """Matched pairs in point order on both sides: pair i is
+    (codes[0][i], codes[1][i]), and keys[s][i] orders codes[s][i]."""
+
+    def __init__(self) -> None:
+        self.keys: tuple[list, list] = ([], [])
+        self.codes: tuple[list, list] = ([], [])
+
+    def place(self, side: int, key, code, choose, key_of) -> tuple[int, object]:
+        # Match code, a point of `side` ordered by key, to the image that
+        # choose(lo, hi) picks strictly between the images of its matched
+        # neighbours (None where it has none), and insert the pair where
+        # both sides stay sorted.  Returns the pair's index and the image,
+        # which is None when choose finds none.
+        i = bisect_left(self.keys[side], key)
+        imgs = self.codes[1 - side]
+        tgt = choose(imgs[i - 1] if i else None, imgs[i] if i < len(imgs) else None)
+        if tgt is not None:
+            for s, k, c in ((side, key, code), (1 - side, key_of(tgt), tgt)):
+                self.keys[s].insert(i, k)
+                self.codes[s].insert(i, c)
+        return i, tgt
+
+    def place_point(self, terms: tuple[OrderTerm, OrderTerm], side: int,
+                    code: PointCode) -> PointCode | None:
+        # place() for a point of terms[side], imaged into terms[1 - side].
+        src, tgt = terms[side], terms[1 - side]
+        return self.place(side, _key(src, code), code,
+                          lambda lo, hi: _image(tgt, lo, hi), lambda c: _key(tgt, c))[1]
 
 
 def _fresh_codes(t: OrderTerm, used: set):
@@ -468,36 +476,23 @@ def back_and_forth(x: OrderTerm, y: OrderTerm, rounds: int,
     y = desugar(y)
     if block_map is not None:
         return _colored(x, y, rounds, block_map)
-    sorted_pairs: list[tuple[PointCode, PointCode]] = []
-
-    def image(side: int, src: PointCode) -> PointCode | None:
-        src_term, tgt_term = (x, y) if side == 0 else (y, x)
-        anchors = [(p[side], p[1 - side]) for p in sorted_pairs]
-        tgt = _extend(tgt_term, anchors, src_term, src)
-        if tgt is not None:
-            sorted_pairs.append((src, tgt) if side == 0 else (tgt, src))
-            sorted_pairs.sort(key=cmp_to_key(lambda p, q: _cmp(x, p[0], q[0])))
-        return tgt
-
-    return _match_rounds(x, y, rounds, image, "no order-consistent image exists")
+    matched = _Pairs()
+    return _match_rounds(x, y, rounds,
+                         lambda side, src: matched.place_point((x, y), side, src),
+                         "no order-consistent image exists")
 
 
-def _pos_find(lo: str | None, hi: str | None, residue: int, k: int,
-              used: set[str]) -> str:
-    # Some unused tree position with the required depth residue,
-    # strictly between lo and hi; depth residues are dense, so a
-    # bounded search suffices.
-    for length in range(0, 64):
-        if length % k != residue:
-            continue
+def _pos_find(lo: str | None, hi: str | None, residue: int, k: int) -> str:
+    # The first tree position in enumeration order with the required
+    # depth residue strictly between lo and hi (None: unbounded); depth
+    # residues are dense, so a bounded search suffices.
+    lo_key = None if lo is None else _pos_key(lo)
+    hi_key = None if hi is None else _pos_key(hi)
+    for length in range(residue, 64, k):
         for pos in _strings(length):
-            if pos in used:
-                continue
-            if lo is not None and _pos_cmp(pos, lo) <= 0:
-                continue
-            if hi is not None and _pos_cmp(pos, hi) >= 0:
-                continue
-            return pos
+            key = _pos_key(pos)
+            if (lo_key is None or key > lo_key) and (hi_key is None or key < hi_key):
+                return pos
     raise InvalidCodeError("no coloured position found within depth 64")
 
 
@@ -508,45 +503,28 @@ def _colored(x: OrderTerm, y: OrderTerm, rounds: int,
     kx, ky = len(x.blocks), len(y.blocks)
     if sorted(block_map) != list(range(kx)) or sorted(block_map.values()) != list(range(ky)):
         raise InvalidCodeError("block_map must biject the block indices")
-    inv = {v: k for k, v in block_map.items()}
-    copy_of = ({}, {})  # matched position -> its image, per side
-    sub: dict[tuple[str, str], list[tuple[PointCode, PointCode]]] = {}
+    shuffles = (x, y)
+    fwd = (block_map, {v: k for k, v in block_map.items()})
+    copies = _Pairs()  # matched copy positions
+    inside: list[_Pairs] = []  # inside[i]: the pairs matched within copy pair i
+
+    def block(side: int, pos: str) -> OrderTerm:
+        blocks = shuffles[side].blocks
+        return blocks[len(pos) % len(blocks)]
 
     def image(side: int, src: PointCode) -> PointCode | None:
-        src_shuffle, tgt_shuffle = (x, y) if side == 0 else (y, x)
-        fwd = block_map if side == 0 else inv
-        k_src, k_tgt = (kx, ky) if side == 0 else (ky, kx)
         pos, inner = src
-        src_block = src_shuffle.blocks[len(pos) % k_src]
-        if pos in copy_of[side]:
-            tpos = copy_of[side][pos]
-            key = (pos, tpos) if side == 0 else (tpos, pos)
-            # sub[key] holds inner pairs oriented x -> y
-            anchors = [(p[side], p[1 - side]) for p in sub[key]]
-            anchors.sort(key=cmp_to_key(lambda p, q: _cmp(src_block, p[0], q[0])))
-            tgt_block = tgt_shuffle.blocks[len(tpos) % k_tgt]
-            j = _extend(tgt_block, anchors, src_block, inner)
-            if j is None:
-                return None
-        else:
-            neighbours = sorted(copy_of[side], key=cmp_to_key(_pos_cmp))
-            lo_img = hi_img = None
-            for p in neighbours:
-                if _pos_cmp(p, pos) < 0:
-                    lo_img = copy_of[side][p]
-                else:
-                    hi_img = copy_of[side][p]
-                    break
-            tpos = _pos_find(lo_img, hi_img, fwd[len(pos) % k_src], k_tgt,
-                             set(copy_of[1 - side]))
-            tgt_block = tgt_shuffle.blocks[len(tpos) % k_tgt]
-            j = _least(tgt_block)
-            copy_of[side][pos] = tpos
-            copy_of[1 - side][tpos] = pos
-            key = (pos, tpos) if side == 0 else (tpos, pos)
-            sub[key] = []
-        sub[key].append((inner, j) if side == 0 else (j, inner))
-        return (tpos, j)
+        key = _pos_key(pos)
+        i = bisect_left(copies.keys[side], key)
+        if i == len(copies.keys[side]) or copies.keys[side][i] != key:
+            residue = fwd[side][len(pos) % len(shuffles[side].blocks)]
+            k_tgt = len(shuffles[1 - side].blocks)
+            i, _ = copies.place(side, key, pos,
+                                lambda lo, hi: _pos_find(lo, hi, residue, k_tgt), _pos_key)
+            inside.insert(i, _Pairs())
+        blocks = (block(0, copies.codes[0][i]), block(1, copies.codes[1][i]))
+        j = inside[i].place_point(blocks, side, inner)
+        return None if j is None else (copies.codes[1 - side][i], j)
 
     return _match_rounds(x, y, rounds, image,
                          "no order-consistent image inside the matched copy")
@@ -621,7 +599,7 @@ def cross_check(t: OrderTerm, budget: int) -> CheckReport:
                 return
         outcomes.append(Outcome(name, "witness_not_found"))
 
-    ordered = sorted(pts, key=cmp_to_key(lambda a, b: _cmp(t, a, b)))
+    ordered = sorted(pts, key=lambda c: _key(t, c))
 
     if p.has_left_endpoint:
         witness("left_endpoint", lambda c, f: f.is_min)

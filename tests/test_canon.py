@@ -59,6 +59,18 @@ def test_scat_products():
     assert scat_normalize(T("(1+1)*Z")) == (Zat(), Zat())
 
 
+def test_scat_finite_repetition_merges_junctions():
+    # n copies of a scattered body meet at n - 1 junctions, each
+    # rewritten like any sum: 1 + N is N, N + 1 stays, N~ + 1 + N is Z.
+    assert scat_normalize(T("5*(1+N)")) == (W(),) * 5
+    assert scat_normalize(T("3*(N+1)")) == (W(), W(), W(), Fin(1))
+    assert scat_normalize(T("3*(N~+1+N)")) == (Zat(),) * 3
+    assert scat_normalize(T("2*(N*(N+N~))")) == (W(), Pow("N", (Zat(),))) * 2
+    assert scat_normalize(T("3*(2+N~+N+1)")) == (
+        Fin(2), Zat(), Fin(3), Zat(), Fin(3), Zat(), Fin(1))
+    assert scat_normalize(T("(2+N)*(N~+1)")) == (Wstar(), Wstar(), Pow("N", (Wstar(),)))
+
+
 def test_scat_power_rotation():
     # N*(N + N~) regroups as N + (Z repeated), since inner junctions
     # N~ + N collapse to Z.

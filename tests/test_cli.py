@@ -106,6 +106,14 @@ def test_bnf(capsys):
     assert "partial isomorphism with 4 pairs" in out
 
 
+@pytest.mark.parametrize("x", ["1", "Q", "N"])
+def test_bnf_into_the_empty_order_fails_at_round_one(x, capsys):
+    assert run(["bnf", x, "0"]) == 0
+    assert _out(capsys)[0].startswith("failure at round 1:")
+    assert run(["bnf", x, "0", "--json"]) == 0
+    assert json.loads(_out(capsys)[0])["result"]["failed_round"] == 1
+
+
 def test_dot(capsys):
     assert run(["dot", "N + Q[Z]"]) == 0
     out, _ = _out(capsys)
@@ -181,6 +189,21 @@ def test_stuck_exit_three(capsys):
 
 def test_unsupported_exit_three(capsys):
     assert run(["classify", "N*N + Q[Z]"]) == 3
+
+
+SINGLE_TERM_COMMANDS = ["parse", "norm", "classify", "spectrum", "square", "square2",
+                        "selfsim", "enum", "check", "dot"]
+CORPUS = ["0", "1", "2", "N~", "Q+1", "0*Q", "Q[0,1]", "Q[1]~", "N*Q[1,2]", "1+Q+1"]
+PAIR_TERMS = ["0", "1", "Q", "Q+1"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[cmd, t] for cmd in SINGLE_TERM_COMMANDS for t in CORPUS]
+    + [[cmd, a, b] for cmd in ("absorbs", "bnf") for a in PAIR_TERMS for b in PAIR_TERMS],
+)
+def test_every_command_ends_in_a_documented_exit_code(argv, capsys):
+    assert run(argv) in (0, 2, 3, 4)
 
 
 def test_bad_usage_exits_two():

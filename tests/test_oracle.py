@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import random
 from functools import cmp_to_key
 
@@ -49,6 +51,16 @@ def test_point_profile_block_boundary():
     assert point_profile(t, ("", 0)).has_predecessor is False
     assert point_profile(t, ("", 0)).has_successor is True
     assert point_profile(t, ("", 0)).is_min is False
+
+
+def test_compare_orders_positions_in_infix():
+    q = T("Q")
+    codes = [("".join(p), 0) for d in range(4) for p in itertools.product("LR", repeat=d)]
+    ordered = sorted(codes, key=cmp_to_key(lambda a, b: compare(q, a, b)))
+    assert [p for p, _ in ordered] == [
+        "LLL", "LL", "LLR", "L", "LRL", "LR", "LRR", "",
+        "RLL", "RL", "RLR", "R", "RRL", "RR", "RRR",
+    ]
 
 
 def test_between_examples():
@@ -143,6 +155,22 @@ def test_colored_back_and_forth_transcript_is_pinned():
     )
 
 
+@pytest.mark.parametrize(
+    "x, y, rounds, block_map, digest",
+    [
+        ("Q[1,1+Q]", "Q", 256, None,
+         "974728239099fae86b37308f262ac342f76e9796466e4158d7fa4ff1d493091c"),
+        ("Q[N,Z]", "Q[Z,N]", 64, {0: 1, 1: 0},
+         "38d323403c5b080b17c733f69a305e3a942bd60c924c774a0f9898af71f17c55"),
+    ],
+    ids=["plain", "coloured"],
+)
+def test_long_transcripts_are_pinned(x, y, rounds, block_map, digest):
+    result = back_and_forth(T(x), T(y), rounds, block_map=block_map)
+    assert len(result.pairs) == rounds
+    assert hashlib.sha256(repr(result.pairs).encode()).hexdigest() == digest
+
+
 def test_colored_identity_shuffle():
     x = T("Q[Z]")
     result = back_and_forth(x, x, 10, block_map={0: 0})
@@ -214,3 +242,42 @@ def test_between_agrees_with_successors(src):
         else:
             assert compare(t, a, mid) == -1
             assert compare(t, mid, b) == -1
+
+
+def _dense_term(rng, depth):
+    # A dense order without endpoints, built from Q, shuffles of dense
+    # blocks and single points, sums, and products with such a fiber.
+    def piece():
+        return rng.choice(["1", "1 + Q", "Q + 1", "1 + Q + 1", _dense_term(rng, depth - 1)])
+    r = rng.random()
+    if depth == 0 or r < 0.3:
+        return "Q"
+    if r < 0.55:
+        return "Q[" + ",".join(piece() for _ in range(rng.randint(1, 3))) + "]"
+    if r < 0.8:
+        return f"{_dense_term(rng, depth - 1)} + {_dense_term(rng, depth - 1)}"
+    return f"({_dense_term(rng, depth - 1)})*({piece()})"
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_back_and_forth_pairs_preserve_order(seed):
+    # Two realizations of Q always match for 64 rounds, and so does a
+    # shuffle with a block permutation of itself; every transcript is a
+    # partial isomorphism, and the coloured one keeps block indices.
+    rng = random.Random(seed)
+    x, y = T(_dense_term(rng, 3)), T(_dense_term(rng, 3))
+    result = back_and_forth(x, y, 64)
+    assert isinstance(result, PartialIso) and len(result.pairs) == 64
+    _check_partial_iso(x, y, result.pairs)
+    choices = ["1", "2", "N", "N~", "Z", _dense_term(rng, 2)]
+    blocks = list(dict.fromkeys(rng.choice(choices) for _ in range(3)))
+    perm = list(range(len(blocks)))
+    rng.shuffle(perm)
+    block_map = {perm[j]: j for j in range(len(blocks))}
+    x = T("Q[" + ",".join(blocks) + "]")
+    y = T("Q[" + ",".join(blocks[j] for j in perm) + "]")
+    result = back_and_forth(x, y, 64, block_map=block_map)
+    assert isinstance(result, PartialIso) and len(result.pairs) == 64
+    _check_partial_iso(x, y, result.pairs)
+    for (pos_x, _), (pos_y, _) in result.pairs:
+        assert block_map[len(pos_x) % len(blocks)] == len(pos_y) % len(blocks)
