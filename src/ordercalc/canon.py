@@ -12,7 +12,6 @@ StructuralOnly, never to a wrong verdict, and segment queries refuse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 
@@ -28,6 +27,8 @@ from .terms import (
     Sum,
     Zeta,
     desugar,
+    node,
+    summands,
 )
 from .textio import print_term
 
@@ -53,32 +54,42 @@ class InternalInvariantError(Exception):
 
 
 class ScatAtom:
-    __slots__ = ()
+    __slots__ = ("_hash",)
 
 
-@dataclass(frozen=True)
+@node
 class Fin(ScatAtom):
+    __slots__ = ("n",)
+
     n: int
 
 
-@dataclass(frozen=True)
+@node
 class W(ScatAtom):
     """N."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
+@node
 class Wstar(ScatAtom):
     """N*."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
+@node
 class Zat(ScatAtom):
     """Z."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
+@node
 class Pow(ScatAtom):
     """kind-many copies of body; kind is "N", "N~", or "Z"."""
+
+    __slots__ = ("kind", "body")
 
     kind: str
     body: tuple[ScatAtom, ...]
@@ -176,28 +187,35 @@ def _atoms_reverse(atoms: tuple[ScatAtom, ...]) -> tuple[ScatAtom, ...]:
 # canonical forms
 
 
-@dataclass(frozen=True)
+@node
 class Scat:
+    __slots__ = ("atoms", "_hash")
+
     atoms: tuple[ScatAtom, ...]
 
 
-@dataclass(frozen=True)
+@node
 class Shuf:
+    __slots__ = ("blocks", "_hash")
+
     blocks: tuple["CanonicalForm", ...]
 
 
-@dataclass(frozen=True)
+@node
 class CanonicalForm:
+    """``tame``, stored when the form is built: no scattered part of the
+    form or of its blocks holds a Pow atom."""
+
+    __slots__ = ("components", "tame", "_hash")
+
     components: tuple[Scat | Shuf, ...]
 
-    @property
-    def tame(self) -> bool:
-        return all(
-            all(not isinstance(a, Pow) for a in c.atoms)
-            if isinstance(c, Scat)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "tame", all(
+            Pow not in map(type, c.atoms) if isinstance(c, Scat)
             else all(b.tame for b in c.blocks)
             for c in self.components
-        )
+        ))
 
 
 EMPTY_FORM = CanonicalForm(())
@@ -332,10 +350,26 @@ def _push(out: list, comp) -> None:
 def concat_components(*lists) -> tuple:
     """Concatenate component sequences, applying the junction merge rules."""
     out: list = []
+    # Consecutive scattered parts are joined in one pass: pushing them
+    # one at a time would renormalize the growing part for each one,
+    # quadratic in the length of a long sum.
+    run: list[Scat] = []
     for comps in lists:
         for comp in comps:
+            if isinstance(comp, Scat):
+                run.append(comp)
+                continue
+            if run:
+                _push(out, _join(run))
+                run = []
             _push(out, comp)
+    if run:
+        _push(out, _join(run))
     return tuple(out)
+
+
+def _join(run: list[Scat]) -> Scat:
+    return run[0] if len(run) == 1 else Scat(_concat_atoms(*(c.atoms for c in run)))
 
 
 def _repeat_form(cf: CanonicalForm, n: int) -> CanonicalForm:
@@ -442,8 +476,8 @@ def _canon(t: OrderTerm) -> CanonicalForm:
             return CanonicalForm((Scat((Fin(n),)),))
         case Omega() | OmegaStar() | Zeta():
             return CanonicalForm((Scat((_KAPPA[t][1],)),))
-        case Sum(a, b):
-            return CanonicalForm(concat_components(_canon(a).components, _canon(b).components))
+        case Sum():
+            return CanonicalForm(concat_components(*(_canon(p).components for p in summands(t))))
         case Shuffle(blocks):
             return CanonicalForm((_canon_shuffle([_canon(b) for b in blocks]),))
         case Product(x, y):

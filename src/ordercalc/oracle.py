@@ -442,7 +442,9 @@ def _match_rounds(x: OrderTerm, y: OrderTerm, rounds: int, image,
     # The round loop shared by both matchings: odd rounds take the
     # least-enumerated unmatched point of x, even rounds of y, and
     # image(side, src) picks its partner on the other side (None: no
-    # order-consistent partner, a failure for `reason`).
+    # order-consistent partner, a failure for `reason`).  Once one side
+    # has no unmatched point left, every round draws from the other, so
+    # the verdict does not depend on the order of the arguments.
     pairs: list[tuple[PointCode, PointCode]] = []
     used = (set(), set())
     gens = (_fresh_codes(x, used[0]), _fresh_codes(y, used[1]))
@@ -450,7 +452,10 @@ def _match_rounds(x: OrderTerm, y: OrderTerm, rounds: int, image,
         side = 0 if r % 2 == 1 else 1
         src = next(gens[side], None)
         if src is None:
-            break
+            side = 1 - side
+            src = next(gens[side], None)
+            if src is None:
+                break
         tgt = image(side, src)
         if tgt is None:
             return MatchFailure(r, reason)
@@ -465,12 +470,13 @@ def back_and_forth(x: OrderTerm, y: OrderTerm, rounds: int,
     """Grow a partial isomorphism by alternating least-unmatched choices.
 
     Odd rounds pick the least-enumerated unmatched point of x, even
-    rounds of y; the image is chosen with endpoint/betweenness queries
-    on the other side.  With ``block_map`` both terms must be shuffles
-    and matched points must carry corresponding block indices (matching
-    whole copies and recursively matching their interiors).  Returns
-    the matched pairs, or the first round at which no order-consistent
-    extension exists.
+    rounds of y, and once one side has no unmatched point left every
+    round picks from the other; the image is chosen with
+    endpoint/betweenness queries on the other side.  With
+    ``block_map`` both terms must be shuffles and matched points must
+    carry corresponding block indices (matching whole copies and
+    recursively matching their interiors).  Returns the matched pairs,
+    or the first round at which no order-consistent extension exists.
     """
     x = desugar(x)
     y = desugar(y)

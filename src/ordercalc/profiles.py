@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache
+from functools import cache, reduce
 
 from .terms import (
     Empty,
@@ -23,6 +23,7 @@ from .terms import (
     Sum,
     Zeta,
     desugar,
+    summands,
 )
 
 
@@ -75,6 +76,21 @@ def _mul(a: int | None, b: int | None) -> int | None:
     return None if a is None or b is None else a * b
 
 
+def _sum_profile(pa: StructProfile, pb: StructProfile) -> StructProfile:
+    return _mk(
+        False,
+        _add(pa.size, pb.size),
+        pa.has_left_endpoint,
+        pb.has_right_endpoint,
+        pa.succ_pair_free and pb.succ_pair_free
+        and not (pa.has_right_endpoint and pb.has_left_endpoint),
+        pa.succ_complete and pb.succ_complete
+        and (not pa.has_right_endpoint or pb.has_left_endpoint),
+        pa.pred_complete and pb.pred_complete
+        and (not pb.has_left_endpoint or pa.has_right_endpoint),
+    )
+
+
 def profile(t: OrderTerm) -> StructProfile:
     """Profile of the order denoted by t (reversal and 0 are desugared away)."""
     return _profile(desugar(t))
@@ -95,20 +111,8 @@ def _profile(t: OrderTerm) -> StructProfile:
             return _mk(False, None, False, True, False, True, True)
         case Zeta():
             return _mk(False, None, False, False, False, True, True)
-        case Sum(a, b):
-            pa, pb = _profile(a), _profile(b)
-            return _mk(
-                False,
-                _add(pa.size, pb.size),
-                pa.has_left_endpoint,
-                pb.has_right_endpoint,
-                pa.succ_pair_free and pb.succ_pair_free
-                and not (pa.has_right_endpoint and pb.has_left_endpoint),
-                pa.succ_complete and pb.succ_complete
-                and (not pa.has_right_endpoint or pb.has_left_endpoint),
-                pa.pred_complete and pb.pred_complete
-                and (not pb.has_left_endpoint or pa.has_right_endpoint),
-            )
+        case Sum():
+            return reduce(_sum_profile, map(_profile, summands(t)))
         case Product(x, y):
             px, py = _profile(x), _profile(y)
             # A copy boundary exists only when the index has >= 2

@@ -1,64 +1,128 @@
 """Term algebra for countable linear order types.
 
 Terms denote order types built from the finite orders, N, N*, and Z by
-sums, lexicographic products, shuffles, and reversal.  All values are
-immutable and hashable, and every operation in this package is a pure
-function, so terms may be shared freely across threads.
+sums, lexicographic products, shuffles, and reversal.  Every operation
+in this package is a pure function, so terms may be shared freely
+across threads.
+
+Terms, like the canonical forms of ``canon``, are ``node`` classes:
+immutable, slotted (no per-instance ``__dict__``), and carrying a hash
+computed once, when the node is built, from the stored hashes of its
+children.  So hashing a term, as every cache lookup does, takes
+constant time and never recurses, however deep the term.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce
+from operator import attrgetter
+
+
+def _stored_hash(self) -> int:
+    return self._hash
+
+
+def _reduce(self):
+    # Rebuild through the constructor, so that an unpickled node
+    # computes its hash in the new process (str hashes are salted).
+    return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+
+def node(cls):
+    """Make cls an immutable tree node whose hash is computed once.
+
+    cls lists its fields as annotations and, with a ``_hash`` slot that
+    a base class may supply, in ``__slots__``.  The node is a frozen
+    dataclass on those slots; its ``__post_init__`` runs the class's
+    own ``__post_init__``, if any, then stores the hash of the class
+    name and the field values, and ``__hash__`` returns it.  A class
+    without fields keeps its one hash value on the class instead.  The
+    class name tells apart nodes with equal fields, such as
+    ``Sum(a, b)`` and ``Product(a, b)``, or ``Omega()`` and ``Zeta()``.
+    """
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    tag = cls.__qualname__
+    if names:
+        own = cls.__dict__.get("__post_init__")
+        values = attrgetter(*names)
+        store = object.__setattr__
+
+        def __post_init__(self) -> None:
+            if own is not None:
+                own(self)
+            store(self, "_hash", hash((tag, values(self))))
+
+        cls.__post_init__ = __post_init__
+    else:
+        cls._hash = hash((tag,))
+    cls = dataclass(frozen=True)(cls)
+    cls.__hash__ = _stored_hash
+    cls.__reduce__ = _reduce
+    return cls
 
 
 class OrderTerm:
     """Base class for order-type expressions."""
 
-    __slots__ = ()
+    __slots__ = ("_hash",)
 
 
-@dataclass(frozen=True)
+@node
 class Empty(OrderTerm):
     """The empty order 0."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
+@node
 class Single(OrderTerm):
     """The one-point order 1."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
+@node
 class Finite(OrderTerm):
     """A finite order with n >= 2 points (0 and 1 have their own nodes)."""
+
+    __slots__ = ("n",)
 
     n: int
 
 
-@dataclass(frozen=True)
+@node
 class Omega(OrderTerm):
     """The natural numbers N in their usual order."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
+@node
 class OmegaStar(OrderTerm):
     """The reversed natural numbers N*."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
+@node
 class Zeta(OrderTerm):
     """The integers Z."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
+@node
 class Sum(OrderTerm):
     """left followed by right."""
+
+    __slots__ = ("left", "right")
 
     left: OrderTerm
     right: OrderTerm
 
 
-@dataclass(frozen=True)
+@node
 class Product(OrderTerm):
     """index-many consecutive copies of fiber, ordered lexicographically.
 
@@ -66,11 +130,13 @@ class Product(OrderTerm):
     first, then x.
     """
 
+    __slots__ = ("index", "fiber")
+
     index: OrderTerm
     fiber: OrderTerm
 
 
-@dataclass(frozen=True)
+@node
 class Shuffle(OrderTerm):
     """A dense mixture of the block orders along the rationals.
 
@@ -78,17 +144,36 @@ class Shuffle(OrderTerm):
     isomorphism the result does not depend on the chosen partition.
     """
 
+    __slots__ = ("blocks",)
+
     blocks: tuple[OrderTerm, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "blocks", tuple(self.blocks))
 
 
-@dataclass(frozen=True)
+@node
 class Reverse(OrderTerm):
     """The mirror image of body."""
 
+    __slots__ = ("body",)
+
     body: OrderTerm
+
+
+def summands(t: OrderTerm) -> list[OrderTerm]:
+    """The parts of t's left-nested Sum spine, left to right; [t] if t is no Sum.
+
+    Sums nest to the left, so a long sum is a deep spine; callers walk
+    its parts with a loop instead of recursing once per summand.
+    """
+    parts = []
+    while isinstance(t, Sum):
+        parts.append(t.right)
+        t = t.left
+    parts.append(t)
+    parts.reverse()
+    return parts
 
 
 class ValidationError(ValueError):
@@ -112,9 +197,9 @@ def validate(t: OrderTerm) -> None:
         case Finite(n):
             if not isinstance(n, int) or n < 2:
                 raise ValidationError("BadFinite", t, f"Finite needs n >= 2, got {n!r}")
-        case Sum(a, b):
-            validate(a)
-            validate(b)
+        case Sum():
+            for part in summands(t):
+                validate(part)
         case Product(x, y):
             validate(x)
             validate(y)
@@ -143,13 +228,9 @@ def desugar(t: OrderTerm) -> OrderTerm:
     match t:
         case Reverse(body):
             return _reverse(desugar(body))
-        case Sum(a, b):
-            a, b = desugar(a), desugar(b)
-            if a == Empty():
-                return b
-            if b == Empty():
-                return a
-            return Sum(a, b)
+        case Sum():
+            kept = [p for p in map(desugar, summands(t)) if p != Empty()]
+            return reduce(Sum, kept) if kept else Empty()
         case Product(x, y):
             x, y = desugar(x), desugar(y)
             if x == Empty() or y == Empty():

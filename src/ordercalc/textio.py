@@ -30,6 +30,7 @@ from .terms import (
     Single,
     Sum,
     Zeta,
+    summands,
     validate,
 )
 
@@ -193,16 +194,9 @@ def _pr(t: OrderTerm, need: int) -> str:
         case Product(x, y):
             s, prec = _pr(x, _PROD) + "*" + _pr(y, _POST), _PROD
         case Sum():
-            # Sums nest to the left; walk the spine with a loop, so that
-            # a long sum does not recurse once per summand.
-            rights = []
-            while isinstance(t, Sum):
-                rights.append(t.right)
-                t = t.left
-            parts = [_pr(t, _SUM)]
-            for r in reversed(rights):
-                parts.append(_pr(r, _PROD))
-            s, prec = " + ".join(parts), _SUM
+            first, *rest = summands(t)
+            s = " + ".join([_pr(first, _SUM), *(_pr(r, _PROD) for r in rest)])
+            prec = _SUM
         case _:
             raise TypeError(f"not an OrderTerm: {t!r}")
     return f"({s})" if prec < need else s

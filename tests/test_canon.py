@@ -1,3 +1,11 @@
+import copy
+import os
+import pickle
+import subprocess
+import sys
+from dataclasses import FrozenInstanceError
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 
@@ -26,6 +34,7 @@ from ordercalc import (
     point_profile,
     print_term,
     profile,
+    reverse_form,
     scat_normalize,
 )
 from ordercalc.canon import _try_flatten
@@ -239,3 +248,118 @@ def test_reversal_involution_at_canonical_level(t):
     except StuckError:
         return
     assert canonicalize(Reverse(Reverse(t))) == expected
+
+
+# Generated terms whose canonical forms print as sums of thousands of
+# summands; reading such output back used to exhaust the recursion limit.
+LONG_FORM_TERMS = [
+    "((Q[1])*(N + 8 + 3))*((9 + 8)*((3)*(N))) + 2 + (7 + 4)*(N + 4 + 7) + Q",
+    "(((8)*((7)*(9)))*((Z)~))*(N)",
+    "(((7)*(6))*(5) + 4)*(1 + 2 + (Z)*(4) + (1)*(3) + (N)*(9) + 3 + (5)*(6) + N)",
+    "(5 + (Q)*(1) + (4)~ + (Z)*(Q) + 7 + 5 + (8)*(4))*((8)*((8)*(N)) + 3 + (3 + 6)~)",
+    "(7)*((7)*((Z + 9)*((5)*(N))))",
+]
+
+
+@pytest.mark.parametrize("text", LONG_FORM_TERMS)
+def test_norm_output_of_long_forms_reads_back(text):
+    x = T(text)
+    cf = canonicalize(x)
+    out = print_term(cf_to_term(cf))
+    assert out.count("+") > 500
+    y = parse(out)
+    assert profile(y) == profile(x)
+    assert canonicalize(y) == cf
+
+
+# --- forms: immutable, slotted, hashed once at construction ---
+
+
+def _tame(cf: CanonicalForm) -> bool:
+    # The recursive definition of the tame fragment, which CanonicalForm
+    # computes once per form and stores.
+    return all(
+        all(not isinstance(a, Pow) for a in c.atoms)
+        if isinstance(c, Scat)
+        else all(_tame(b) for b in c.blocks)
+        for c in cf.components
+    )
+
+
+@pytest.mark.parametrize("text, tame", [
+    ("Q[Z] + N", True), ("N*(N + N~)", False), ("Q[1, N*(Z + 1)]", False),
+    ("N + Q[Z, Q[N*N]]", False), ("0", True),
+])
+def test_stored_tame(text, tame):
+    cf = canonicalize(T(text))
+    assert cf.tame is tame is _tame(cf)
+
+
+@given(term_strategy())
+@settings(max_examples=60, deadline=None)
+def test_stored_tame_matches_definition(t):
+    try:
+        cf = canonicalize(t)
+    except StuckError:
+        return
+    for form in (cf, reverse_form(cf)):
+        assert form.tame == _tame(form)
+
+
+def test_forms_built_apart_hash_equal():
+    pairs = [
+        (canonicalize(T("N~ + 3 + N")), CanonicalForm((Scat((Zat(),)),))),
+        (canonicalize(T("Q[Z, N, Z]")), canonicalize(T("Q[N, Z]"))),
+        (canonicalize(T("N*(N + N~)")).components[0].atoms[1], Pow("N", (Zat(),))),
+        (reverse_form(reverse_form(canonicalize(T("N + Q[Z, 1 + N~]")))),
+         canonicalize(T("N + Q[1 + N~, Z]"))),
+    ]
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b)
+
+
+@pytest.mark.parametrize("a, b", [
+    (W(), Zat()), (W(), Wstar()), (Pow("N", (Zat(),)), Pow("Z", (Zat(),))),
+    (Scat(()), Shuf(())), (CanonicalForm(()), Scat(())),
+])
+def test_atoms_and_forms_of_different_classes_hash_apart(a, b):
+    assert a != b
+    assert hash(a) != hash(b)
+
+
+def test_forms_are_frozen():
+    cf = canonicalize(T("N*(N + N~) + Q[Z]"))
+    for obj, field in ((cf, "components"), (cf, "tame"), (cf.components[0], "atoms"),
+                       (Pow("N", (Zat(),)), "kind")):
+        with pytest.raises(FrozenInstanceError):
+            setattr(obj, field, ())
+
+
+PICKLED_TERM = "N*(N + N~) + Q[Z, 1 + N~] + 3"
+_DUMP = ("import pickle, sys, ordercalc as oc; t = oc.parse(sys.argv[1]); "
+         "sys.stdout.buffer.write(pickle.dumps((t, oc.canonicalize(t))))")
+_LOAD = ("import pickle, sys, ordercalc as oc; t, cf = pickle.load(sys.stdin.buffer); "
+         "u = oc.parse(sys.argv[1]); v = oc.canonicalize(u); "
+         "print(t == u and hash(t) == hash(u), cf == v and hash(cf) == hash(v))")
+
+
+def test_copy_and_pickle_keep_the_hash_of_forms():
+    cf = canonicalize(T(PICKLED_TERM))
+    for u in (copy.copy(cf), copy.deepcopy(cf), pickle.loads(pickle.dumps(cf))):
+        assert u == cf and hash(u) == hash(cf) and u.tame == cf.tame
+
+
+def test_unpickling_under_another_hash_seed_rehashes():
+    # String hashes differ between the two processes (Pow.kind, and the
+    # class names every node hash includes); an unpickled node must hash
+    # like one built in the process that loads it.
+    import ordercalc
+
+    env = dict(os.environ, PYTHONPATH=str(Path(ordercalc.__file__).parents[1]))
+    dumped = subprocess.run([sys.executable, "-c", _DUMP, PICKLED_TERM],
+                            env=env | {"PYTHONHASHSEED": "1"}, capture_output=True,
+                            check=True, timeout=60).stdout
+    loaded = subprocess.run([sys.executable, "-c", _LOAD, PICKLED_TERM], input=dumped,
+                            env=env | {"PYTHONHASHSEED": "2"}, capture_output=True,
+                            check=True, timeout=60).stdout
+    assert loaded.decode().split() == ["True", "True"]

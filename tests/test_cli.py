@@ -168,7 +168,25 @@ def test_negative_count_exits_two(argv, capsys):
 
 def test_norm_of_long_sum(capsys):
     assert run(["norm", "1500*(N+1+N~)"]) == 0
-    assert _out(capsys)[0] == "N + " + "1 + Z + " * 1499 + "1 + N~\n"
+    out = _out(capsys)[0]
+    assert out == "N + " + "1 + Z + " * 1499 + "1 + N~\n"
+    # Reading the long output back walks its sum spine without recursion.
+    assert run(["norm", out]) == 0
+    assert _out(capsys)[0] == out
+
+
+def test_norm_of_flat_sum_of_3000_terms(capsys):
+    assert run(["norm", " + ".join(["1"] * 3000)]) == 0
+    assert _out(capsys)[0] == "3000\n"
+
+
+@pytest.mark.parametrize("small, large, failed_round",
+                         [("2", "3", 3), ("0", "1", 1), ("1", "2", 2)])
+def test_bnf_of_finite_orders_does_not_depend_on_argument_order(small, large, failed_round,
+                                                                 capsys):
+    for argv in (["bnf", small, large], ["bnf", large, small]):
+        assert run(argv) == 0
+        assert _out(capsys)[0].startswith(f"failure at round {failed_round}:")
 
 
 def test_parse_error_exit_two(capsys):

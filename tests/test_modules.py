@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 import ordercalc
+from ordercalc import canon, terms
 
 MODULES = sorted(Path(ordercalc.__file__).parent.glob("*.py"))
 
@@ -21,3 +22,20 @@ def test_no_private_imports_across_modules(path):
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+def _subclasses(cls):
+    return [c for sub in cls.__subclasses__() for c in (sub, *_subclasses(sub))]
+
+
+NODE_CLASSES = [*_subclasses(terms.OrderTerm), *_subclasses(canon.ScatAtom),
+                canon.Scat, canon.Shuf, canon.CanonicalForm]
+
+
+@pytest.mark.parametrize("cls", NODE_CLASSES, ids=lambda c: c.__name__)
+def test_node_classes_are_slotted_and_use_the_stored_hash(cls):
+    # Without __slots__ along the whole class chain every instance grows a
+    # __dict__; a class that is not a node falls back to the dataclass
+    # hash, which recomputes the hash of the whole tree on every call.
+    assert all("__slots__" in vars(k) for k in cls.__mro__[:-1])
+    assert cls.__hash__ is terms._stored_hash

@@ -115,6 +115,16 @@ def test_back_and_forth_finite_exhaustion():
     assert len(result.pairs) == 2
 
 
+@pytest.mark.parametrize("x, y, failed_round", [
+    ("2", "3", 3), ("3", "2", 3), ("0", "1", 1), ("1", "0", 1), ("1", "2", 2), ("2", "1", 2),
+])
+def test_back_and_forth_finite_sizes_differ(x, y, failed_round):
+    # Once the smaller order has no unmatched point left, the rounds
+    # draw from the larger one, so both argument orders fail alike.
+    result = back_and_forth(T(x), T(y), 10)
+    assert result == MatchFailure(failed_round, "no order-consistent image exists")
+
+
 def _check_partial_iso(x, y, pairs):
     for a, b in pairs:
         for a2, b2 in pairs:

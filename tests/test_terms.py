@@ -1,3 +1,7 @@
+import copy
+import pickle
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given
 
@@ -15,8 +19,10 @@ from ordercalc import (
     ValidationError,
     Zeta,
     desugar,
+    profile,
     validate,
 )
+from ordercalc.terms import summands
 
 
 def test_validate_ok():
@@ -98,3 +104,102 @@ def test_desugar_has_no_reverse_or_inner_empty(t):
 def test_golden_corpus_validates():
     for s in GOLDEN:
         validate(T(s))
+
+
+# --- nodes: immutable, slotted, hashed once at construction ---
+
+
+def _rebuild(t):
+    # A copy of t made node by node through the constructors.
+    match t:
+        case Sum(a, b):
+            return Sum(_rebuild(a), _rebuild(b))
+        case Product(x, y):
+            return Product(_rebuild(x), _rebuild(y))
+        case Shuffle(blocks):
+            return Shuffle([_rebuild(b) for b in blocks])
+        case Reverse(body):
+            return Reverse(_rebuild(body))
+        case Finite(n):
+            return Finite(n)
+    return type(t)()
+
+
+@given(term_strategy())
+def test_equal_terms_built_apart_hash_equal(t):
+    u = _rebuild(t)
+    assert u is not t
+    assert u == t and hash(u) == hash(t)
+    assert hash(desugar(Reverse(Reverse(u)))) == hash(desugar(t))
+
+
+def test_terms_built_in_different_ways_hash_equal():
+    pairs = [
+        (T("N + Z*2"), Sum(Omega(), Product(Zeta(), Finite(2)))),
+        (Shuffle([Single(), Zeta()]), Shuffle((Single(), Zeta()))),
+        (desugar(T("(N + 1)~")), Sum(Single(), OmegaStar())),
+        (desugar(T("0 + Q + 0*N")), Shuffle((Single(),))),
+    ]
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (Omega(), Zeta()),
+        (Omega(), OmegaStar()),
+        (Empty(), Single()),
+        (Sum(Omega(), Zeta()), Product(Omega(), Zeta())),
+        (Sum(Single(), Single()), Finite(2)),
+        (Reverse(Omega()), Shuffle((Omega(),))),
+    ],
+)
+def test_nodes_of_different_classes_hash_apart(a, b):
+    assert a != b
+    assert hash(a) != hash(b)
+
+
+def _left_sum(n: int):
+    t = Single()
+    for _ in range(n - 1):
+        t = Sum(t, Single())
+    return t
+
+
+def test_long_sum_spine_hashes_and_walks_without_recursion():
+    # 5000 nested Sums are far deeper than the recursion limit: hashing
+    # reads stored values, and the spine is walked with loops.
+    t = _left_sum(5000)
+    assert hash(t) == hash(_left_sum(5000))
+    assert len(summands(t)) == 5000
+    validate(t)
+    d = desugar(t)
+    assert hash(d) == hash(t) and summands(d) == summands(t)
+    assert profile(t).size == 5000
+
+
+def test_summands_of_a_sum_spine():
+    assert summands(T("1 + N + (Z + 2)")) == [Single(), Omega(), Sum(Zeta(), Finite(2))]
+    assert summands(Zeta()) == [Zeta()]
+
+
+def test_validate_reports_the_first_bad_summand():
+    t = Sum(Sum(Finite(1), Shuffle(())), Finite(0))
+    with pytest.raises(ValidationError) as exc:
+        validate(t)
+    assert exc.value.subterm == Finite(1)
+
+
+def test_copy_and_pickle_keep_the_hash():
+    t = T("N + Q[Z, 1 + N~] + 3*N")
+    for u in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+        assert u == t and hash(u) == hash(t)
+
+
+@pytest.mark.parametrize(
+    "t, field", [(Sum(Omega(), Zeta()), "left"), (Finite(3), "n"), (Zeta(), "_hash")]
+)
+def test_nodes_are_frozen(t, field):
+    with pytest.raises(FrozenInstanceError):
+        setattr(t, field, Single())
