@@ -204,9 +204,11 @@ class Shuf:
 @node
 class CanonicalForm:
     """``tame``, stored when the form is built: no scattered part of the
-    form or of its blocks holds a Pow atom."""
+    form or of its blocks holds a Pow atom.  ``classification``, None
+    until ``classify`` fills it, is no field: ``==``, hash, repr, copies
+    and pickles ignore it."""
 
-    __slots__ = ("components", "tame", "_hash")
+    __slots__ = ("components", "tame", "classification", "_hash")
 
     components: tuple[Scat | Shuf, ...]
 
@@ -216,6 +218,7 @@ class CanonicalForm:
             else all(b.tame for b in c.blocks)
             for c in self.components
         ))
+        object.__setattr__(self, "classification", None)
 
 
 EMPTY_FORM = CanonicalForm(())

@@ -6,6 +6,10 @@ L + Q[blocks] + R with L a final segment of a block (or empty) and R an
 initial segment of a block (or empty).  Which orders A satisfy
 A*X = X is then determined by whether L, R, and the junction R + L
 match blocks, which splits the absorbing orders into eight classes.
+
+Those verdicts depend only on the canonical form, so they are computed
+once per form and kept on it (``_classification``); the two checkers at
+the end read the kept decomposition but test the cases themselves.
 """
 
 from __future__ import annotations
@@ -84,30 +88,6 @@ class Spectrum(Enum):
     TRIVIAL_ONLY = "TrivialOnly"
 
 
-def decompose(t: OrderTerm) -> Decomposition | None:
-    """Split the canonical form of t as L + Q[blocks] + R.
-
-    Returns None when the canonical component sequence is not
-    scattered + shuffle + scattered.  Raises UnsupportedError when
-    canonicalization is stuck or the form is not tame.
-    """
-    try:
-        cf = canonicalize(t)
-    except StuckError as e:
-        raise UnsupportedError(f"cannot canonicalize: {e}") from e
-    if not cf.tame:
-        raise UnsupportedError("canonical form has scattered parts outside the tame fragment")
-    shuf_at = [i for i, c in enumerate(cf.components) if isinstance(c, Shuf)]
-    if len(shuf_at) != 1:
-        return None
-    i = shuf_at[0]
-    return Decomposition(
-        CanonicalForm(cf.components[:i]),
-        cf.components[i].blocks,
-        CanonicalForm(cf.components[i + 1:]),
-    )
-
-
 @dataclass(frozen=True)
 class SelfSimilarity:
     holds: bool
@@ -118,16 +98,50 @@ class SelfSimilarity:
         return self.holds
 
 
-def is_self_similar(t: OrderTerm) -> SelfSimilarity:
-    """Does t contain two disjoint convex copies of itself?"""
-    d = decompose(t)
-    if d is None:
+def _classification(t: OrderTerm) -> tuple[SelfSimilarity, AbsorptionClass]:
+    """The verdicts on t's canonical form, kept in its classification slot
+    by the first call; two threads may both fill it, harmlessly, with the
+    same pair.  Raises UnsupportedError when canonicalization is stuck
+    or the form is not tame."""
+    try:
+        cf = canonicalize(t)
+    except StuckError as e:
+        raise UnsupportedError(f"cannot canonicalize: {e}") from e
+    if not cf.tame:
+        raise UnsupportedError("canonical form has scattered parts outside the tame fragment")
+    if cf.classification is None:
+        ss = _self_similarity(cf)
+        object.__setattr__(cf, "classification", (ss, _absorption(ss)))
+    return cf.classification
+
+
+def _self_similarity(cf: CanonicalForm) -> SelfSimilarity:
+    shuf_at = [i for i, c in enumerate(cf.components) if isinstance(c, Shuf)]
+    if len(shuf_at) != 1:
         return SelfSimilarity(False, None, "canonical form is not scattered + shuffle + scattered")
+    i = shuf_at[0]
+    d = Decomposition(CanonicalForm(cf.components[:i]), cf.components[i].blocks,
+                      CanonicalForm(cf.components[i + 1:]))
     if d.left.components and not any(is_final_segment(d.left, b) for b in d.blocks):
         return SelfSimilarity(False, d, "left part is not a final segment of any block")
     if d.right.components and not any(is_initial_segment(d.right, b) for b in d.blocks):
         return SelfSimilarity(False, d, "right part is not an initial segment of any block")
     return SelfSimilarity(True, d, None)
+
+
+def decompose(t: OrderTerm) -> Decomposition | None:
+    """Split the canonical form of t as L + Q[blocks] + R.
+
+    Returns None when the canonical component sequence is not
+    scattered + shuffle + scattered.  Raises UnsupportedError when
+    canonicalization is stuck or the form is not tame.
+    """
+    return _classification(t)[0].decomposition
+
+
+def is_self_similar(t: OrderTerm) -> SelfSimilarity:
+    """Does t contain two disjoint convex copies of itself?"""
+    return _classification(t)[0]
 
 
 def _matches_block(part: CanonicalForm, blocks) -> bool:
@@ -176,7 +190,10 @@ _CASE_OF_BITS = {row.bits: n for n, row in _CASES.items()}
 
 def classify_absorption(t: OrderTerm) -> AbsorptionClass:
     """Decide whether t is left-absorbing and, if so, which class it is in."""
-    ss = is_self_similar(t)
+    return _classification(t)[1]
+
+
+def _absorption(ss: SelfSimilarity) -> AbsorptionClass:
     if not ss:
         return NotSelfSimilar(ss.reason)
     d = ss.decomposition
@@ -200,9 +217,7 @@ def absorbs(a: OrderTerm, x: OrderTerm) -> bool:
     x = desugar(x)
     if a == Empty():
         return x == Empty()
-    if x == Empty():
-        return True
-    if a == Single():
+    if x == Empty() or a == Single():
         return True
     pa = profile(a)
     verdict = classify_absorption(x)
@@ -213,7 +228,7 @@ def absorbs(a: OrderTerm, x: OrderTerm) -> bool:
 
 def spectrum_description(x: OrderTerm) -> Spectrum:
     """Which orders A satisfy A*X = X, as a class description."""
-    verdict = classify_absorption(desugar(x))
+    verdict = classify_absorption(x)
     if isinstance(verdict, AbsorptionCase):
         return _CASES[verdict.case].spectrum
     return Spectrum.TRIVIAL_ONLY
@@ -221,9 +236,6 @@ def spectrum_description(x: OrderTerm) -> Spectrum:
 
 def is_square(x: OrderTerm) -> bool:
     """Is x isomorphic to its lexicographic square x*x?"""
-    x = desugar(x)
-    if x in (Empty(), Single()):
-        return True
     return absorbs(x, x)
 
 

@@ -223,8 +223,23 @@ def desugar(t: OrderTerm) -> OrderTerm:
     The result denotes an isomorphic order, contains no Reverse node,
     and contains Empty only as the whole term.  Blocks that reduce to
     the empty order are dropped from shuffles (replacing points of a
-    dense class by nothing just deletes those points).
+    dense class by nothing just deletes those points).  A term with
+    nothing to eliminate is returned as it is, so later lookups of it
+    hit by identity instead of comparing equal trees node by node.
     """
+    todo = [t]  # walked with a loop, so that a deep term costs no recursion
+    while todo:
+        match todo.pop():
+            case Sum(a, b) | Product(a, b):
+                todo += (a, b)
+            case Shuffle(blocks):
+                todo += blocks
+            case Reverse():
+                break
+            case Empty() as u if u is not t:
+                break
+    else:
+        return t
     match t:
         case Reverse(body):
             return _reverse(desugar(body))
@@ -239,8 +254,6 @@ def desugar(t: OrderTerm) -> OrderTerm:
         case Shuffle(blocks):
             kept = tuple(b for b in map(desugar, blocks) if b != Empty())
             return Shuffle(kept) if kept else Empty()
-        case _:
-            return t
 
 
 def _reverse(t: OrderTerm) -> OrderTerm:

@@ -35,6 +35,10 @@ from .terms import (
 )
 
 MAX_NAT = 2**31 - 1
+# Deepest nesting of parentheses and shuffle brackets that parse
+# accepts.  The parser and several layers after it recurse once per
+# level; at this depth every command still fits in the recursion limit.
+MAX_DEPTH = 50
 
 
 @dataclass(frozen=True)
@@ -90,6 +94,7 @@ class _Parser:
         self.text = text
         self.toks = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.toks[self.pos]
@@ -123,6 +128,15 @@ class _Parser:
             t = Reverse(t)
         return t
 
+    def nested(self, start: int, end: int) -> OrderTerm:
+        # A sum one bracket level deeper than the current one.
+        if self.depth == MAX_DEPTH:
+            raise ParseError(f"nesting deeper than {MAX_DEPTH} levels", SourceSpan(start, end))
+        self.depth += 1
+        t = self.sum()
+        self.depth -= 1
+        return t
+
     def atom(self) -> OrderTerm:
         kind, value, start, end = self.peek()
         if kind == "NAT":
@@ -142,15 +156,15 @@ class _Parser:
             if self.peek()[0] != "LBRACK":
                 return Shuffle((Single(),))
             self.take("LBRACK")
-            blocks = [self.sum()]
+            blocks = [self.nested(start, end)]
             while self.peek()[0] == "COMMA":
                 self.take("COMMA")
-                blocks.append(self.sum())
+                blocks.append(self.nested(start, end))
             self.take("RBRACK")
             return Shuffle(tuple(blocks))
         if kind == "LPAREN":
             self.take("LPAREN")
-            t = self.sum()
+            t = self.nested(start, end)
             self.take("RPAREN")
             return t
         raise ParseError(f"expected an order expression, found {value or 'end of input'!r}",
@@ -227,8 +241,12 @@ def ast_repr(t: OrderTerm) -> str:
             return "OmegaStar"
         case Zeta():
             return "Zeta"
-        case Sum(a, b):
-            return f"Sum({ast_repr(a)}, {ast_repr(b)})"
+        case Sum():
+            # Sum(Sum(a, b), c) for a + b + c, built from the spine's parts
+            # without recursing once per summand.
+            first, *rest = summands(t)
+            tail = "".join(f", {ast_repr(r)})" for r in rest)
+            return "Sum(" * len(rest) + ast_repr(first) + tail
         case Product(x, y):
             return f"Product({ast_repr(x)}, {ast_repr(y)})"
         case Shuffle(blocks):

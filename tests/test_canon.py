@@ -272,6 +272,20 @@ def test_norm_output_of_long_forms_reads_back(text):
     assert canonicalize(y) == cf
 
 
+def test_norm_output_of_a_long_shuffle_block_reads_back():
+    # The norm output holds a shuffle whose one block is a sum of 504
+    # summands.  Reading it back must not compare that block with an
+    # equal tree built apart: the dataclass __eq__ recurses once per
+    # summand, past the recursion limit.
+    x = T("(Q[(4 + N + 9)*(9)])*((((4)*(1))*(N~))*(1))")
+    cf = canonicalize(x)
+    out = print_term(cf_to_term(cf))
+    assert out.count("+") > 500
+    y = parse(out)
+    assert profile(y) == profile(x)
+    assert cf_equal(canonicalize(y), cf) is Equality.EQUAL
+
+
 # --- forms: immutable, slotted, hashed once at construction ---
 
 

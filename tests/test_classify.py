@@ -1,15 +1,25 @@
-import pytest
+import copy
+import pickle
+from dataclasses import FrozenInstanceError
+from functools import partial
+from unittest import mock
 
-from conftest import A_TERMS, CLASSIFIED, GOLDEN, T
+import pytest
+from hypothesis import given, settings
+
+from conftest import A_TERMS, CLASSIFIED, GOLDEN, T, term_strategy
 from ordercalc import (
     AbsorptionCase,
+    CanonicalForm,
     NotSelfSimilar,
     SelfSimilarNotAbsorbing,
     Single,
     Spectrum,
+    StuckError,
     Sum,
     UnsupportedError,
     absorbs,
+    canonicalize,
     cf_to_term,
     classify_absorption,
     decompose,
@@ -21,6 +31,7 @@ from ordercalc import (
     spectrum_description,
     square_two_endpoints,
 )
+from ordercalc import classify
 from ordercalc.classify import absorption_case_predicates
 
 
@@ -286,3 +297,88 @@ def test_absorption_laws_smoke():
                 lhs = absorbs(Sum(Sum(a, Single()), b), x)
                 rhs = absorbs(Sum(a, Single()), x) and absorbs(Sum(Single(), b), x)
                 assert lhs == rhs
+
+
+# --- verdicts kept on the canonical form ---
+
+ENTRY_POINTS = [decompose, is_self_similar, classify_absorption, spectrum_description,
+                is_square, square_two_endpoints, absorption_case_predicates,
+                *(partial(absorbs, T(a)) for a in A_TERMS)]
+
+
+def _answers(t, entry_points=ENTRY_POINTS):
+    """Each entry point's answer on t, or the type of what it raises."""
+    out = []
+    for f in entry_points:
+        try:
+            out.append(f(t))
+        except (UnsupportedError, StuckError) as e:
+            out.append(type(e))
+    return out
+
+
+def _answers_through(form, t, entry_points=ENTRY_POINTS):
+    """The answers on t when its canonical form is the object `form`."""
+    with mock.patch.object(classify, "canonicalize", lambda _: form):
+        return _answers(t, entry_points)
+
+
+def _check_filled_slot_against_fresh_forms(t):
+    try:
+        cf = canonicalize(t)
+    except StuckError:
+        return
+    filled = _answers(t)
+    assert (cf.classification is not None) is cf.tame
+    assert _answers(t) == filled
+    # Each entry point asked first, on a form of its own whose slot is
+    # empty, computes its answer instead of reading one.
+    fresh = [_answers_through(CanonicalForm(cf.components), t, [f])[0] for f in ENTRY_POINTS]
+    assert filled == fresh
+
+
+@pytest.mark.parametrize("src", GOLDEN + BOTH_ENDPOINT_TERMS + [*CASES, "N*N + Q[Z]"])
+def test_a_filled_slot_answers_like_a_fresh_form(src):
+    _check_filled_slot_against_fresh_forms(T(src))
+
+
+@given(term_strategy())
+@settings(max_examples=80, deadline=None)
+def test_a_filled_slot_answers_like_a_fresh_form_on_generated_terms(t):
+    _check_filled_slot_against_fresh_forms(t)
+
+
+@pytest.mark.parametrize("src", GOLDEN)
+def test_a_second_call_returns_the_kept_object(src):
+    t = T(src)
+    for f in (decompose, is_self_similar, classify_absorption):
+        assert f(t) is f(t)
+    cf = canonicalize(t)
+    assert cf.classification == (is_self_similar(t), classify_absorption(t))
+
+
+@pytest.mark.parametrize("src", GOLDEN)
+def test_copies_of_a_form_start_with_an_empty_slot(src):
+    t = T(src)
+    cf = canonicalize(t)
+    answers = _answers(t)
+    assert cf.classification is not None
+    for u in (copy.copy(cf), copy.deepcopy(cf), pickle.loads(pickle.dumps(cf))):
+        assert u.classification is None
+        assert _answers_through(u, t) == answers
+        assert u.classification == cf.classification
+
+
+@pytest.mark.parametrize("src", GOLDEN)
+def test_filling_the_slot_leaves_equality_hash_and_repr(src):
+    t = T(src)
+    cf = canonicalize(t)
+    fresh = CanonicalForm(cf.components)
+    before = (hash(fresh), repr(fresh))
+    _answers_through(fresh, t)
+    assert fresh.classification is not None
+    assert fresh == cf == CanonicalForm(cf.components)
+    assert (hash(fresh), repr(fresh)) == before
+    assert "classification" not in repr(fresh)
+    with pytest.raises(FrozenInstanceError):
+        fresh.classification = None

@@ -6,6 +6,7 @@ import jsonschema
 import pytest
 
 from ordercalc.cli import run
+from ordercalc.textio import MAX_DEPTH
 
 RESULT_SCHEMA = {
     "type": "object",
@@ -175,9 +176,49 @@ def test_norm_of_long_sum(capsys):
     assert _out(capsys)[0] == out
 
 
+LONG_SUM = " + ".join(["1"] * 3000)
+
+
 def test_norm_of_flat_sum_of_3000_terms(capsys):
-    assert run(["norm", " + ".join(["1"] * 3000)]) == 0
+    assert run(["norm", LONG_SUM]) == 0
     assert _out(capsys)[0] == "3000\n"
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["absorbs", "2", LONG_SUM], "false"),
+    (["spectrum", LONG_SUM], "TrivialOnly"),
+    (["square", LONG_SUM], "false"),
+    (["parse", LONG_SUM], "Sum(" * 2999 + "Single" + ", Single)" * 2999),
+], ids=["absorbs", "spectrum", "square", "parse"])
+def test_commands_on_flat_sum_of_3000_terms(argv, expected):
+    # One process per command, as the CLI runs.  desugar hands the parsed
+    # sum back as it is, so no cache lookup compares it with an equal
+    # 3000-deep tree built apart (which would recurse once per summand).
+    proc = subprocess.run([sys.executable, "-m", "ordercalc.cli", *argv],
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == expected + "\n"
+
+
+COMMANDS = [["parse"], ["norm"], ["classify"], ["absorbs", "2"], ["spectrum"], ["square"],
+            ["square2"], ["selfsim"], ["enum"], ["check"], ["bnf"], ["dot"]]
+# Shapes that recurse most per level of nesting among those tried: reversed
+# shuffles whose blocks are sums.
+AT_LIMIT = {
+    "parentheses": "(1 + " * MAX_DEPTH + "N" + ")" * MAX_DEPTH,
+    "reversed shuffles": "Q[Z, 1 + " * MAX_DEPTH + "N" + " + 1]~" * MAX_DEPTH,
+    "reversed shuffle sums": "Q[N + " * MAX_DEPTH + "N" + " + N~]~" * MAX_DEPTH,
+}
+
+
+@pytest.mark.parametrize("shape", AT_LIMIT)
+@pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+def test_every_command_answers_at_the_nesting_limit(command, shape, capsys):
+    text = AT_LIMIT[shape]
+    argv = [*command, text, text] if command == ["bnf"] else [*command, text]
+    assert run(argv) == 0
+    assert run([*argv[:-1], "(" + argv[-1] + ")"]) == 2
+    assert "nesting deeper than" in _out(capsys)[1]
 
 
 @pytest.mark.parametrize("small, large, failed_round",

@@ -1,4 +1,5 @@
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -39,3 +40,16 @@ def test_node_classes_are_slotted_and_use_the_stored_hash(cls):
     # hash, which recomputes the hash of the whole tree on every call.
     assert all("__slots__" in vars(k) for k in cls.__mro__[:-1])
     assert cls.__hash__ is terms._stored_hash
+
+
+def test_the_module_level_caches_are_the_four_known_ones():
+    # A one-shot query clears these four caches to start cold; a fifth
+    # cache would carry answers from one query into the next unseen.
+    from ordercalc import oracle, profiles
+
+    modules = [importlib.import_module(f"ordercalc.{p.stem}") for p in MODULES
+               if p.stem != "__init__"] + [ordercalc]
+    found = {id(obj): obj for m in modules for obj in vars(m).values()
+             if hasattr(obj, "cache_info")}
+    expected = [terms.desugar, profiles._profile, canon._canon, oracle._codes_of_weight]
+    assert sorted(found) == sorted(map(id, expected))

@@ -101,6 +101,67 @@ def test_desugar_has_no_reverse_or_inner_empty(t):
     scan(desugar(t), True)
 
 
+def _nodes(t):
+    todo = [t]
+    while todo:
+        u = todo.pop()
+        yield u
+        match u:
+            case Sum(a, b) | Product(a, b):
+                todo += (a, b)
+            case Shuffle(blocks):
+                todo += blocks
+            case Reverse(body):
+                todo.append(body)
+
+
+@pytest.mark.parametrize("text", [
+    "1", "0", "N + Q[Z, 1 + N] + 3", "(1 + 2)*(1 + 2) + (1 + 2)", "Q[N*Z, 3] + Z*(2 + N)",
+    " + ".join(["1"] * 3000),
+], ids=lambda text: text if len(text) < 40 else "sum of 3000 ones")
+def test_desugar_returns_a_plain_term_as_it_is(text):
+    # The cache hands back the first of equal terms it saw, so the
+    # identity holds for a term that no equal term came before.  Equal
+    # subterms built apart, like the two 1 + 2 above, are distinct
+    # objects; only a walk over the whole term tells that none changes.
+    desugar.cache_clear()
+    t = T(text)
+    assert desugar(t) is t
+    assert desugar(t) is t
+
+
+def test_desugar_returns_a_sum_of_atoms_seen_before_as_it_is():
+    desugar.cache_clear()
+    desugar(Single())
+    t = Sum(Single(), Sum(Omega(), Single()))
+    assert desugar(t) is t
+
+
+@given(term_strategy())
+def test_desugar_returns_every_term_without_reverse_as_it_is(t):
+    # Generated terms hold no Empty, so Reverse is all there is to remove.
+    if not any(isinstance(u, Reverse) for u in _nodes(t)):
+        assert desugar(t) == t
+        desugar.cache_clear()
+        assert desugar(t) is t
+
+
+@pytest.mark.parametrize("t, expected", [
+    (Reverse(Omega()), OmegaStar()),
+    (Sum(Single(), Product(Finite(2), Reverse(Omega()))),
+     Sum(Single(), Product(Finite(2), OmegaStar()))),
+    (Shuffle((Zeta(), Reverse(Sum(Omega(), Single())))),
+     Shuffle((Zeta(), Sum(Single(), OmegaStar())))),
+    (Sum(Empty(), Zeta()), Zeta()),
+    (Sum(Omega(), Sum(Empty(), Single())), Sum(Omega(), Single())),
+    (Product(Omega(), Empty()), Empty()),
+    (Shuffle((Zeta(), Product(Empty(), Omega()))), Shuffle((Zeta(),))),
+])
+def test_desugar_rebuilds_terms_with_reverse_or_inner_empty(t, expected):
+    assert desugar(t) == expected
+    assert desugar(t) is not t
+
+
 def test_golden_corpus_validates():
     for s in GOLDEN:
         validate(T(s))

@@ -12,6 +12,7 @@ from ordercalc import (
     Reverse,
     Shuffle,
     Single,
+    SourceSpan,
     Sum,
     ValidationError,
     Zeta,
@@ -21,6 +22,7 @@ from ordercalc import (
     print_term,
     to_dot,
 )
+from ordercalc.textio import MAX_DEPTH
 
 
 def test_parse_sum_of_shuffle():
@@ -63,6 +65,35 @@ def test_parse_rejects_huge_literal():
     with pytest.raises(ParseError):
         parse(str(2**31))
     assert parse(str(2**31 - 1)) == Finite(2**31 - 1)
+
+
+BRACKETS = {"parentheses": ("(", ")"), "shuffles": ("Q[", "]")}
+
+
+def _nested(levels, brackets):
+    opening, closing = BRACKETS[brackets]
+    return opening * levels + "1" + closing * levels
+
+
+@pytest.mark.parametrize("brackets", BRACKETS)
+def test_parse_accepts_nesting_up_to_the_limit(brackets):
+    t = parse(_nested(MAX_DEPTH, brackets))
+    depth = 0
+    while isinstance(t, Shuffle):
+        t, depth = t.blocks[0], depth + 1
+    assert t == Single()
+    assert depth == (MAX_DEPTH if brackets == "shuffles" else 0)
+
+
+@pytest.mark.parametrize("levels", [MAX_DEPTH + 1, 2000])
+@pytest.mark.parametrize("brackets", BRACKETS)
+def test_parse_rejects_nesting_past_the_limit(brackets, levels):
+    with pytest.raises(ParseError) as exc:
+        parse(_nested(levels, brackets))
+    assert exc.value.message == f"nesting deeper than {MAX_DEPTH} levels"
+    # The span is the bracket that opens level MAX_DEPTH + 1.
+    width = len(BRACKETS[brackets][0])
+    assert exc.value.span == SourceSpan(MAX_DEPTH * width, MAX_DEPTH * width + 1)
 
 
 def test_parse_forwards_validation():
