@@ -67,6 +67,9 @@ def test_between_examples():
     assert between(T("Q"), ("L", 0), ("", 0)) == ("LR", 0)
     assert between(T("Z"), 1, 2) is None
     assert between(T("Q[Z]"), ("L", 4), ("L", 9)) == ("L", 5)
+    # lo's copy is tried before the index points between the copies,
+    # so (1, 0), enumerated earlier, is not the choice.
+    assert between(T("2*N"), (0, 3), (1, 2)) == (0, 4)
 
 
 def test_between_across_sum():
@@ -172,8 +175,14 @@ def test_colored_back_and_forth_transcript_is_pinned():
          "974728239099fae86b37308f262ac342f76e9796466e4158d7fa4ff1d493091c"),
         ("Q[N,Z]", "Q[Z,N]", 64, {0: 1, 1: 0},
          "38d323403c5b080b17c733f69a305e3a942bd60c924c774a0f9898af71f17c55"),
+        ("Q*(1+Q)", "Q + Q", 128, None,
+         "6988ece3971b5dd40cbf23d990154f7ff2874220cdd9853fb83dcbbdc3ace8e2"),
+        ("2*Q", "Q*(1+Q+1)", 128, None,
+         "634a7bb8381aa29b6c618960f75cc1ef55db44ab53b0b4160d78dca082636bb8"),
+        ("(1+Q)*Q", "Q*Q", 128, None,
+         "2e14887c4b56272ccd48113b48604974986d8856c5b0d70d7484fbcaebbe259a"),
     ],
-    ids=["plain", "coloured"],
+    ids=["plain", "coloured", "product-sum", "finite-product", "product-product"],
 )
 def test_long_transcripts_are_pinned(x, y, rounds, block_map, digest):
     result = back_and_forth(T(x), T(y), rounds, block_map=block_map)
@@ -214,7 +223,10 @@ def test_cross_check_report_shapes():
 
 # --- randomized properties ---
 
-SAMPLE_TERMS = ["Z", "Q", "Q[Z]", "N + Q[Z] + N~", "Q[N,Z]", "N + Q[Z,N]"]
+SAMPLE_TERMS = [
+    "Z", "Q", "Q[Z]", "N + Q[Z] + N~", "Q[N,Z]", "N + Q[Z,N]",
+    "N*Z", "Z*(1+N)", "2*Q", "(N+N~)*3", "N~*N", "Z*2",
+]
 
 
 @pytest.mark.parametrize("src", SAMPLE_TERMS)
