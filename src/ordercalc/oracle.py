@@ -51,6 +51,30 @@ class PointFacts:
     has_predecessor: bool
 
 
+class _Tree:
+    """The index of a shuffle's copies: the nodes of the infinite binary
+    tree, coded as strings over L and R and ordered in infix order."""
+
+    __slots__ = ()
+
+
+_TREE, _TWO, _OMEGA = _Tree(), Finite(2), Omega()
+
+
+def _index(t: OrderTerm):
+    # The order of the copies of a sum, product or shuffle.
+    return _TWO if isinstance(t, Sum) else _TREE if isinstance(t, Shuffle) else t.index
+
+
+def _fiber(t: OrderTerm, i) -> OrderTerm:
+    # Copy i of a sum, product or shuffle.
+    if isinstance(t, Product):
+        return t.fiber
+    if isinstance(t, Sum):
+        return t.right if i else t.left
+    return t.blocks[len(i) % len(t.blocks)]
+
+
 def _check(t: OrderTerm, c: PointCode) -> None:
     match t:
         case Single():
@@ -61,26 +85,16 @@ def _check(t: OrderTerm, c: PointCode) -> None:
             ok = isinstance(c, int) and c >= 0
         case Zeta():
             ok = isinstance(c, int)
-        case Sum(a, b):
-            if not (isinstance(c, tuple) and len(c) == 2 and c[0] in (0, 1)):
-                raise InvalidCodeError(f"bad sum code {c!r}")
-            _check(a if c[0] == 0 else b, c[1])
+        case _Tree():
+            if not (isinstance(c, str) and all(ch in "LR" for ch in c)):
+                raise InvalidCodeError(f"bad tree position {c!r}")
             return
-        case Product(x, y):
+        case Sum() | Product() | Shuffle():
+            # An (index, code in that copy) pair.
             if not (isinstance(c, tuple) and len(c) == 2):
-                raise InvalidCodeError(f"bad product code {c!r}")
-            _check(x, c[0])
-            _check(y, c[1])
-            return
-        case Shuffle(blocks):
-            if not (
-                isinstance(c, tuple)
-                and len(c) == 2
-                and isinstance(c[0], str)
-                and all(ch in "LR" for ch in c[0])
-            ):
-                raise InvalidCodeError(f"bad shuffle code {c!r}")
-            _check(blocks[len(c[0]) % len(blocks)], c[1])
+                raise InvalidCodeError(f"code {c!r} is not a point of {print_term(t)}")
+            _check(_index(t), c[0])
+            _check(_fiber(t, c[0]), c[1])
             return
         case _:
             raise InvalidCodeError("the empty order has no points")
@@ -180,64 +194,6 @@ def point_profile(t: OrderTerm, c: PointCode) -> PointFacts:
     return _facts(t, c)
 
 
-def _least(t: OrderTerm) -> PointCode | None:
-    match t:
-        case Empty():
-            return None
-        case Single() | Finite() | Omega() | OmegaStar() | Zeta():
-            return 0
-        case Sum(a, _):
-            return (0, _least(a))
-        case Product(x, y):
-            return (_least(x), _least(y))
-        case Shuffle(blocks):
-            return ("", _least(blocks[0]))
-    raise AssertionError
-
-
-def _step(t: OrderTerm, c: PointCode, up: bool) -> PointCode | None:
-    # Some point strictly above c (up) or below it; None exactly when c
-    # is the maximum (up) or the minimum.
-    match t:
-        case Single():
-            return None
-        case Finite(n):
-            r = c + 1 if up else c - 1
-            return r if 0 <= r < n else None
-        case Omega() | OmegaStar():
-            # Codes count away from the endpoint: 0 is the minimum of N
-            # and the maximum of N~.
-            r = c + 1 if up == isinstance(t, Omega) else c - 1
-            return r if r >= 0 else None
-        case Zeta():
-            return c + 1 if up else c - 1
-        case Sum(a, b):
-            side, inner = c
-            r = _step(b if side else a, inner, up)
-            if r is not None:
-                return (side, r)
-            if up and side == 0:
-                return (1, _least(b))
-            if not up and side == 1:
-                return (0, _least(a))
-            return None
-        case Product(x, y):
-            cx, cy = c
-            r = _step(y, cy, up)
-            if r is not None:
-                return (cx, r)
-            rx = _step(x, cx, up)
-            return (rx, _least(y)) if rx is not None else None
-        case Shuffle(blocks):
-            pos, inner = c
-            r = _step(blocks[len(pos) % len(blocks)], inner, up)
-            if r is not None:
-                return (pos, r)
-            nxt = pos + ("R" if up else "L")
-            return (nxt, _least(blocks[len(nxt) % len(blocks)]))
-    raise AssertionError
-
-
 def _pos_between(lo: str, hi: str) -> str:
     # Shortest tree node strictly between lo and hi in infix order.
     m = ""
@@ -251,61 +207,75 @@ def _pos_between(lo: str, hi: str) -> str:
             return m
 
 
-def _between(t: OrderTerm, a: PointCode, b: PointCode) -> PointCode | None:
+def _image(t: OrderTerm, lo: PointCode | None, hi: PointCode | None) -> PointCode | None:
+    # Some point of t strictly between lo and hi, where None leaves that
+    # side open; None when there is no such point.  A sum, product or
+    # shuffle is index-many consecutive copies of its fibers.  Bounds in
+    # one copy are resolved inside it.  Otherwise the walk tries lo's
+    # copy above lo (hi's copy below hi when lo is open), then the least
+    # point of the copy at the index point that this walk picks strictly
+    # between their copies, then hi's copy below hi.  A shuffle whose
+    # bounds lie in different copies goes straight to the shortest tree
+    # position between them.
     match t:
         case Finite() | Omega() | Zeta():
-            return a + 1 if b - a >= 2 else None
+            # The code just above lo, else just below hi, else 0.  Only Z
+            # has negative codes.
+            r = lo + 1 if lo is not None else 0 if hi is None else hi - 1
+            end = hi if hi is not None else t.n if isinstance(t, Finite) else None
+            return r if (end is None or r < end) and (r >= 0 or isinstance(t, Zeta)) else None
+        case Sum() | Product() | Shuffle():
+            index = _index(t)
+        case _Tree():
+            if lo is None:
+                return "" if hi is None else hi + "L"
+            return lo + "R" if hi is None else _pos_between(lo, hi)
         case OmegaStar():
-            return b + 1 if a - b >= 2 else None
-        case Sum(left, right):
-            (sa, ia), (sb, ib) = a, b
-            if sa == sb:
-                r = _between(left if sa == 0 else right, ia, ib)
-                return (sa, r) if r is not None else None
-            r = _step(left, ia, True)
-            if r is not None:
-                return (0, r)
-            r = _step(right, ib, False)
-            if r is not None:
-                return (1, r)
+            # Code c is the c-th point below the maximum: N read downwards.
+            return _image(_OMEGA, hi, lo)
+        case Single():
+            return 0 if lo is None and hi is None else None
+        case _:
             return None
-        case Product(x, y):
-            (xa, ya), (xb, yb) = a, b
-            if xa == xb:
-                r = _between(y, ya, yb)
-                return (xa, r) if r is not None else None
-            r = _step(y, ya, True)
-            if r is not None:
-                return (xa, r)
-            m = _between(x, xa, xb)
-            if m is not None:
-                return (m, _least(y))
-            r = _step(y, yb, False)
-            if r is not None:
-                return (xb, r)
-            return None
-        case Shuffle(blocks):
-            (pa, ia), (pb, ib) = a, b
-            if pa == pb:
-                r = _between(blocks[len(pa) % len(blocks)], ia, ib)
-                return (pa, r) if r is not None else None
-            m = _pos_between(pa, pb)
-            return (m, _least(blocks[len(m) % len(blocks)]))
-    raise AssertionError
+    i = None if lo is None else lo[0]
+    j = None if hi is None else hi[0]
+    if i is not None and i == j:
+        r = _image(_fiber(t, i), lo[1], hi[1])
+        return None if r is None else (i, r)
+    if lo is None:
+        r = None if hi is None else _image(_fiber(t, j), None, hi[1])
+        if r is not None:
+            return j, r
+    elif hi is None or index is not _TREE:
+        r = _image(_fiber(t, i), lo[1], None)
+        if r is not None:
+            return i, r
+    m = _image(index, i, j)
+    if m is not None:
+        return m, _image(_fiber(t, m), None, None)
+    if lo is not None and hi is not None:
+        r = _image(_fiber(t, j), None, hi[1])
+        return None if r is None else (j, r)
+    return None
 
 
 def between(t: OrderTerm, a: PointCode, b: PointCode) -> PointCode | None:
     """A point strictly between a and b, or None when b is the successor of a.
 
-    The choice is deterministic: the first candidate in the canonical
-    enumeration order of the relevant component.
+    The choice is deterministic: inside a sum, product or shuffle, a
+    point of a's copy just above a if there is one, else the least point
+    of the copy at the index point chosen the same way between the two
+    copies, else a point of b's copy just below b; in a shuffle with a
+    and b in different copies, the least point of the copy at the
+    shortest tree position between theirs.  In an atom it is the code
+    just above a (just below b in N~).
     """
     t = desugar(t)
     _check(t, a)
     _check(t, b)
     if not _key(t, a) < _key(t, b):
         raise InvalidCodeError("between requires a < b")
-    return _between(t, a, b)
+    return _image(t, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -390,14 +360,6 @@ class PartialIso:
 class MatchFailure:
     round: int
     reason: str
-
-
-def _image(t: OrderTerm, lo: PointCode | None, hi: PointCode | None) -> PointCode | None:
-    # Some point of t strictly between lo and hi, where None leaves that
-    # side unbounded; None when there is no such point.
-    if lo is None:
-        return _least(t) if hi is None else _step(t, hi, False)
-    return _step(t, lo, True) if hi is None else _between(t, lo, hi)
 
 
 class _Pairs:
@@ -514,10 +476,6 @@ def _colored(x: OrderTerm, y: OrderTerm, rounds: int,
     copies = _Pairs()  # matched copy positions
     inside: list[_Pairs] = []  # inside[i]: the pairs matched within copy pair i
 
-    def block(side: int, pos: str) -> OrderTerm:
-        blocks = shuffles[side].blocks
-        return blocks[len(pos) % len(blocks)]
-
     def image(side: int, src: PointCode) -> PointCode | None:
         pos, inner = src
         key = _pos_key(pos)
@@ -528,7 +486,7 @@ def _colored(x: OrderTerm, y: OrderTerm, rounds: int,
             i, _ = copies.place(side, key, pos,
                                 lambda lo, hi: _pos_find(lo, hi, residue, k_tgt), _pos_key)
             inside.insert(i, _Pairs())
-        blocks = (block(0, copies.codes[0][i]), block(1, copies.codes[1][i]))
+        blocks = (_fiber(x, copies.codes[0][i]), _fiber(y, copies.codes[1][i]))
         j = inside[i].place_point(blocks, side, inner)
         return None if j is None else (copies.codes[1 - side][i], j)
 
@@ -626,7 +584,7 @@ def cross_check(t: OrderTerm, budget: int) -> CheckReport:
         universal("successor_pairs", lambda c, f: f.has_successor or f.has_predecessor)
         gap = None
         for a, b in zip(ordered, ordered[1:]):
-            if _between(t, a, b) is None:
+            if _image(t, a, b) is None:
                 gap = (a, b)
                 break
         if gap is None:
