@@ -209,11 +209,12 @@ def _pos_between(lo: str, hi: str) -> str:
 
 def _image(t: OrderTerm, lo: PointCode | None, hi: PointCode | None) -> PointCode | None:
     # Some point of t strictly between lo and hi, where None leaves that
-    # side open; None when there is no such point.  A sum, product or
-    # shuffle is index-many consecutive copies of its fibers.  Bounds in
-    # one copy are resolved inside it.  Otherwise the walk tries lo's
-    # copy above lo (hi's copy below hi when lo is open), then the least
-    # point of the copy at the index point that this walk picks strictly
+    # side open; None when there is no such point.  With both sides open
+    # it is the first point that enumerate_points yields.  A sum, product
+    # or shuffle is index-many consecutive copies of its fibers.  Bounds
+    # in one copy are resolved inside it.  Otherwise the walk tries lo's
+    # copy above lo (hi's copy below hi when lo is open), then the first
+    # point of the copy at the index point that the walk picks strictly
     # between their copies, then hi's copy below hi.  A shuffle whose
     # bounds lie in different copies goes straight to the shortest tree
     # position between them.
@@ -262,13 +263,15 @@ def _image(t: OrderTerm, lo: PointCode | None, hi: PointCode | None) -> PointCod
 def between(t: OrderTerm, a: PointCode, b: PointCode) -> PointCode | None:
     """A point strictly between a and b, or None when b is the successor of a.
 
-    The choice is deterministic: inside a sum, product or shuffle, a
-    point of a's copy just above a if there is one, else the least point
-    of the copy at the index point chosen the same way between the two
-    copies, else a point of b's copy just below b; in a shuffle with a
-    and b in different copies, the least point of the copy at the
-    shortest tree position between theirs.  In an atom it is the code
-    just above a (just below b in N~).
+    The choice is deterministic.  In an atom it is the code just above
+    a (just below b in N~).  In one copy of a sum, product or shuffle it
+    is the choice within that copy.  Across copies it is the choice
+    above a within a's copy if there is one, else the first enumerated
+    point of the copy at the index point chosen between the two copies,
+    else the choice below b within b's copy; with one side open, the
+    same rule picks a point beyond the other.  In a shuffle, a and b in
+    different copies give the first enumerated point of the copy at the
+    shortest tree position between theirs.
     """
     t = desugar(t)
     _check(t, a)
