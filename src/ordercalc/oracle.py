@@ -91,11 +91,10 @@ def _check(t: OrderTerm, c: PointCode) -> None:
             return
         case Sum() | Product() | Shuffle():
             # An (index, code in that copy) pair.
-            if not (isinstance(c, tuple) and len(c) == 2):
-                raise InvalidCodeError(f"code {c!r} is not a point of {print_term(t)}")
-            _check(_index(t), c[0])
-            _check(_fiber(t, c[0]), c[1])
-            return
+            ok = isinstance(c, tuple) and len(c) == 2
+            if ok:
+                _check(_index(t), c[0])
+                _check(_fiber(t, c[0]), c[1])
         case _:
             raise InvalidCodeError("the empty order has no points")
     if not ok:
@@ -236,7 +235,7 @@ def _image(t: OrderTerm, lo: PointCode | None, hi: PointCode | None) -> PointCod
             return _image(_OMEGA, hi, lo)
         case Single():
             return 0 if lo is None and hi is None else None
-        case _:
+        case _:  # the empty order
             return None
     i = None if lo is None else lo[0]
     j = None if hi is None else hi[0]
