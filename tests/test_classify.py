@@ -215,6 +215,13 @@ def test_is_square(src, expected):
         ("3", False),
         ("1", True),
         ("N + Q[Z,N] + N~", True),
+        ("N + Q[N] + 1", True),
+        ("1 + Q[N~] + N~", True),
+        ("1 + Q[1,2] + 1", True),
+        ("1 + Q[1, 2, Z] + 1", True),
+        ("N + Q[N, Z+1] + 1", False),
+        ("1 + Q[N~, 1+Z] + N~", False),
+        ("N + Q[Z, 1+Z] + N~", False),
         ("Z", None),
         ("Q", None),
     ],

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -6,6 +7,7 @@ from functools import cmp_to_key
 import pytest
 
 from conftest import GOLDEN, T
+from ordercalc import oracle
 from ordercalc import (
     InvalidCodeError,
     MatchFailure,
@@ -14,6 +16,7 @@ from ordercalc import (
     between,
     compare,
     cross_check,
+    desugar,
     enumerate_points,
     point_profile,
     profile,
@@ -230,6 +233,86 @@ def test_cross_check_report_shapes():
     assert set(doc) == {"term", "budget", "outcomes", "failed"}
     assert doc["failed"] is False
     assert all({"predicate", "status"} <= set(o) for o in doc["outcomes"])
+
+
+@pytest.mark.parametrize("src, wrong, text", [
+    ("1 + Q + 1", dict(has_left_endpoint=False, has_right_endpoint=False),
+     "check 1 + Q + 1 budget=12 points=12\n"
+     "  left_endpoint: counterexample (0, (0, 0))\n"
+     "  right_endpoint: counterexample (1, 0)\n"
+     "  successor_pairs: consistent\n"
+     "  density_between: consistent\n"
+     "  successor_complete: witness_found (0, (0, 0))\n"
+     "  predecessor_complete: witness_found (0, (1, ('', 0)))\n"
+     "  size: consistent\n"
+     "result: FAILED\n"),
+    ("Q", dict(has_left_endpoint=True, has_right_endpoint=True),
+     "check Q budget=12 points=12\n"
+     "  left_endpoint: witness_not_found\n"
+     "  right_endpoint: witness_not_found\n"
+     "  successor_pairs: consistent\n"
+     "  density_between: consistent\n"
+     "  successor_complete: witness_found ('', 0)\n"
+     "  predecessor_complete: witness_found ('', 0)\n"
+     "  size: consistent\n"
+     "result: ok\n"),
+    ("N", dict(succ_pair_free=True),
+     "check N budget=12 points=12\n"
+     "  left_endpoint: witness_found 0\n"
+     "  right_endpoint: consistent\n"
+     "  successor_pairs: counterexample 0\n"
+     "  density_between: counterexample (0, 1)\n"
+     "  successor_complete: consistent\n"
+     "  predecessor_complete: consistent\n"
+     "  size: consistent\n"
+     "result: FAILED\n"),
+    ("Q", dict(succ_complete=True, pred_complete=True),
+     "check Q budget=12 points=12\n"
+     "  left_endpoint: consistent\n"
+     "  right_endpoint: consistent\n"
+     "  successor_pairs: consistent\n"
+     "  density_between: consistent\n"
+     "  successor_complete: counterexample ('', 0)\n"
+     "  predecessor_complete: counterexample ('', 0)\n"
+     "  size: consistent\n"
+     "result: FAILED\n"),
+    ("Z", dict(succ_complete=False, pred_complete=False),
+     "check Z budget=12 points=12\n"
+     "  left_endpoint: consistent\n"
+     "  right_endpoint: consistent\n"
+     "  successor_pairs: witness_found 0\n"
+     "  successor_complete: witness_not_found\n"
+     "  predecessor_complete: witness_not_found\n"
+     "  size: consistent\n"
+     "result: ok\n"),
+])
+def test_cross_check_reports_a_wrong_profile(monkeypatch, src, wrong, text):
+    # Only the checked term's own profile is wrong; its parts keep theirs.
+    # (A wrong size on a finite term would stall the enumeration, which
+    # reads the same profile, so size is left alone.)
+    top = desugar(T(src))
+    right = oracle.profile
+    monkeypatch.setattr(oracle, "profile",
+                        lambda u: dataclasses.replace(right(u), **wrong) if u == top else right(u))
+    assert cross_check(T(src), 12).to_text() == text
+
+
+def test_cross_check_reports_a_misplaced_endpoint(monkeypatch):
+    # Point 1 of 3 claims to be both endpoints.
+    right = oracle._facts
+    monkeypatch.setattr(oracle, "_facts", lambda t, c: (
+        dataclasses.replace(right(t, c), is_min=True, is_max=True) if c == 1 else right(t, c)))
+    assert cross_check(T("3"), 12).to_text() == (
+        "check 3 budget=12 points=3\n"
+        "  left_endpoint: witness_found 0\n"
+        "  left_endpoint_position: counterexample [0, 1]\n"
+        "  right_endpoint: witness_found 1\n"
+        "  right_endpoint_position: counterexample [1, 2]\n"
+        "  successor_pairs: witness_found 0\n"
+        "  successor_complete: consistent\n"
+        "  predecessor_complete: consistent\n"
+        "  size: consistent\n"
+        "result: FAILED\n")
 
 
 # --- randomized properties ---
