@@ -146,15 +146,14 @@ def _pow_atoms(kind: str, body: tuple[ScatAtom, ...]) -> tuple[ScatAtom, ...]:
 
 
 def _contains_shuffle(t: OrderTerm) -> bool:
-    match t:
-        case Shuffle():
-            return True
-        case Sum(a, b):
-            return _contains_shuffle(a) or _contains_shuffle(b)
-        case Product(x, y):
-            return _contains_shuffle(x) or _contains_shuffle(y)
-        case _:
-            return False
+    todo = [t]
+    while todo:
+        match todo.pop():
+            case Shuffle():
+                return True
+            case Sum(a, b) | Product(a, b):
+                todo += (a, b)
+    return False
 
 
 def scat_normalize(t: OrderTerm) -> tuple[ScatAtom, ...] | None:
@@ -494,11 +493,9 @@ def _canon_product(x: OrderTerm, y: OrderTerm) -> CanonicalForm:
             return _canon(y)
         case Finite(n):
             return _repeat_form(_canon(y), n)
-        case Sum(a, b):
+        case Sum():
             return CanonicalForm(
-                concat_components(
-                    _canon_product(a, y).components, _canon_product(b, y).components
-                )
+                concat_components(*(_canon_product(a, y).components for a in summands(x)))
             )
         case Product(a, b):
             return _canon_product(a, Product(b, y))

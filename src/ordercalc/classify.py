@@ -255,21 +255,16 @@ def square_two_endpoints(x: OrderTerm) -> bool | None:
     d = decompose(x)
     if d is None:
         return False
-    _, _, b_left, b_right, b_junction = _case_bits(d)
-    blocks = d.blocks
-    bp = [profile(cf_to_term(b)) for b in blocks]
-    if d.left == _ONE and d.right == _ONE and blocks == (_ONE,):
+    if d.left == _ONE and d.right == _ONE and d.blocks == (_ONE,):
         return True
-    if not b_junction:
-        return False
-    if not b_left and not b_right:
-        return all(q.succ_complete and not q.has_right_endpoint
-                   and q.pred_complete and not q.has_left_endpoint for q in bp)
-    if b_left and not b_right:
-        return all(q.succ_complete and not q.has_right_endpoint for q in bp)
-    if b_right and not b_left:
-        return all(q.pred_complete and not q.has_left_endpoint for q in bp)
-    return True
+    _, _, b_left, b_right, b_junction = _case_bits(d)
+    # Where L is not a block, every block point needs a predecessor, and
+    # where R is not a block, a successor.
+    return b_junction and all(
+        (b_left or (q.pred_complete and not q.has_left_endpoint))
+        and (b_right or (q.succ_complete and not q.has_right_endpoint))
+        for q in (profile(cf_to_term(b)) for b in d.blocks)
+    )
 
 
 def absorption_case_predicates(t: OrderTerm) -> list[bool]:

@@ -78,7 +78,7 @@ def _fiber(t: OrderTerm, i) -> OrderTerm:
 def _check(t: OrderTerm, c: PointCode) -> None:
     match t:
         case Single():
-            ok = c == 0
+            ok = isinstance(c, int) and c == 0
         case Finite(n):
             ok = isinstance(c, int) and 0 <= c < n
         case Omega() | OmegaStar():
@@ -150,21 +150,15 @@ def _facts(t: OrderTerm, c: PointCode) -> PointFacts:
             return PointFacts(False, False, True, True)
         case Sum(left, right):
             side, inner = c
-            if side == 0:
-                f = _facts(left, inner)
-                return PointFacts(
-                    f.is_min,
-                    False,
-                    f.has_successor or (f.is_max and profile(right).has_left_endpoint),
-                    f.has_predecessor,
-                )
-            f = _facts(right, inner)
-            return PointFacts(
-                False,
-                f.is_max,
-                f.has_successor,
-                f.has_predecessor or (f.is_min and profile(left).has_right_endpoint),
-            )
+            first = side == 0
+            f = _facts(left if first else right, inner)
+            # The point at the junction end of its side has a neighbour
+            # across the junction when the other side has an endpoint there.
+            across = (f.is_max and profile(right).has_left_endpoint if first
+                      else f.is_min and profile(left).has_right_endpoint)
+            return PointFacts(first and f.is_min, not first and f.is_max,
+                              f.has_successor or (first and across),
+                              f.has_predecessor or (not first and across))
         case Product(x, y):
             cx, cy = c
             fx, fy = _facts(x, cx), _facts(y, cy)
@@ -551,39 +545,29 @@ def cross_check(t: OrderTerm, budget: int) -> CheckReport:
     facts = [(c, _facts(t, c)) for c in pts]
     outcomes: list[Outcome] = []
 
-    def universal(name: str, bad) -> None:
+    def claim(name: str, some: bool, has) -> None:
+        # When the profile says some point has the property, search the
+        # samples for a witness; otherwise any sample with it refutes it.
         for c, f in facts:
-            if bad(c, f):
-                outcomes.append(Outcome(name, "counterexample", str(c)))
+            if has(f):
+                outcomes.append(Outcome(name, "witness_found" if some else "counterexample", str(c)))
                 return
-        outcomes.append(Outcome(name, "consistent"))
-
-    def witness(name: str, good) -> None:
-        for c, f in facts:
-            if good(c, f):
-                outcomes.append(Outcome(name, "witness_found", str(c)))
-                return
-        outcomes.append(Outcome(name, "witness_not_found"))
+        outcomes.append(Outcome(name, "witness_not_found" if some else "consistent"))
 
     ordered = sorted(pts, key=lambda c: _key(t, c))
+    # An endpoint, if any sample is one, must be the first (last) sample.
+    for side, some, is_end, end in (("left", p.has_left_endpoint, lambda f: f.is_min, 0),
+                                    ("right", p.has_right_endpoint, lambda f: f.is_max, -1)):
+        claim(f"{side}_endpoint", some, is_end)
+        ends = [c for c, f in facts if is_end(f)]
+        if some and ends and ends != [ordered[end]]:
+            outcomes.append(Outcome(f"{side}_endpoint_position", "counterexample", str(ends)))
 
-    if p.has_left_endpoint:
-        witness("left_endpoint", lambda c, f: f.is_min)
-        mins = [c for c, f in facts if f.is_min]
-        if ordered and mins != [ordered[0]] and mins:
-            outcomes.append(Outcome("left_endpoint_position", "counterexample", str(mins)))
-    else:
-        universal("left_endpoint", lambda c, f: f.is_min)
-    if p.has_right_endpoint:
-        witness("right_endpoint", lambda c, f: f.is_max)
-        maxs = [c for c, f in facts if f.is_max]
-        if ordered and maxs != [ordered[-1]] and maxs:
-            outcomes.append(Outcome("right_endpoint_position", "counterexample", str(maxs)))
-    else:
-        universal("right_endpoint", lambda c, f: f.is_max)
-
+    # A point with a successor witnesses successor pairs; against the
+    # claim that there are none, a point with a predecessor refutes it too.
+    claim("successor_pairs", not p.succ_pair_free,
+          lambda f: f.has_successor or (p.succ_pair_free and f.has_predecessor))
     if p.succ_pair_free:
-        universal("successor_pairs", lambda c, f: f.has_successor or f.has_predecessor)
         gap = None
         for a, b in zip(ordered, ordered[1:]):
             if _image(t, a, b) is None:
@@ -593,17 +577,11 @@ def cross_check(t: OrderTerm, budget: int) -> CheckReport:
             outcomes.append(Outcome("density_between", "consistent"))
         else:
             outcomes.append(Outcome("density_between", "counterexample", str(gap)))
-    else:
-        witness("successor_pairs", lambda c, f: f.has_successor)
 
-    if p.succ_complete:
-        universal("successor_complete", lambda c, f: not f.is_max and not f.has_successor)
-    else:
-        witness("successor_complete", lambda c, f: not f.is_max and not f.has_successor)
-    if p.pred_complete:
-        universal("predecessor_complete", lambda c, f: not f.is_min and not f.has_predecessor)
-    else:
-        witness("predecessor_complete", lambda c, f: not f.is_min and not f.has_predecessor)
+    claim("successor_complete", not p.succ_complete,
+          lambda f: not f.is_max and not f.has_successor)
+    claim("predecessor_complete", not p.pred_complete,
+          lambda f: not f.is_min and not f.has_predecessor)
 
     expected = budget if p.size is None else min(p.size, budget)
     if len(pts) == expected:

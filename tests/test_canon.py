@@ -59,6 +59,19 @@ def test_scat_rejects_shuffles():
     assert scat_normalize(T("Q[Z]")) is None
 
 
+def test_scat_of_a_flat_sum_of_3000_terms():
+    # Run apart, so that the sum is parsed once in its process: a second
+    # equal tree would be compared with the first, once per summand.
+    import ordercalc
+
+    env = dict(os.environ, PYTHONPATH=str(Path(ordercalc.__file__).parents[1]))
+    code = ("from ordercalc import parse, scat_normalize; "
+            "print(scat_normalize(parse(' + '.join(['1'] * 3000))))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "(Fin(n=3000),)\n")
+
+
 def test_scat_products():
     assert scat_normalize(T("N*3")) == (W(),)
     assert scat_normalize(T("N~*3")) == (Wstar(),)

@@ -189,7 +189,8 @@ def test_norm_of_flat_sum_of_3000_terms(capsys):
     (["spectrum", LONG_SUM], "TrivialOnly"),
     (["square", LONG_SUM], "false"),
     (["parse", LONG_SUM], "Sum(" * 2999 + "Single" + ", Single)" * 2999),
-], ids=["absorbs", "spectrum", "square", "parse"])
+    (["norm", f"({LONG_SUM})*N"], " + ".join(["N"] * 3000)),
+], ids=["absorbs", "spectrum", "square", "parse", "norm-product"])
 def test_commands_on_flat_sum_of_3000_terms(argv, expected):
     # One process per command, as the CLI runs.  desugar hands the parsed
     # sum back as it is, so no cache lookup compares it with an equal

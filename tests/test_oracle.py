@@ -41,10 +41,12 @@ def test_compare_rejects_bad_codes():
 @pytest.mark.parametrize("src, code", [
     ("N + N", (2, 0)), ("N + N", (0.0, 0)), ("N + N", (0, -1)), ("N*2", (0, 2)),
     ("N*2", (-1, 0)), ("Q[N,Z]", ("", -1)), ("Q", ("", 0, 0)), ("Q", "L"), ("Q", (None, 0)),
+    ("1", 0.0), ("1 + N", (0, 0.0)),
 ])
 def test_composite_codes_are_checked(src, code):
     # A composite code is an (index, code in that copy) pair, and both
-    # parts are checked; a sum's index is an integer like any code of 2.
+    # parts are checked; a sum's index is an integer like any code of 2,
+    # and so is the one code of 1.
     with pytest.raises(InvalidCodeError):
         compare(T(src), code, code)
 
