@@ -331,3 +331,49 @@ def test_console_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout == "Q[N,Z]\n"
+
+
+# Outputs pinned as literals: every byte of text and JSON, and the exit
+# code, for verdicts and errors no other test fixes.
+PINNED = [
+    (["classify", "N"], 0,
+     "not self-similar (canonical form is not scattered + shuffle + scattered)"),
+    (["classify", "--json", "N"], 0,
+     '{"command": "classify", "input": "N", "result": {"reason": "canonical form is not '
+     'scattered + shuffle + scattered", "verdict": "not self-similar"}}'),
+    (["classify", "N+Q[Z]"], 0, "self-similar, not left-absorbing (left part is not a block)"),
+    (["classify", "--json", "N+Q[Z]"], 0,
+     '{"command": "classify", "input": "N+Q[Z]", "result": {"L": "N", "R": "0", "blocks": '
+     '["Z"], "reason": "left part is not a block", "verdict": "self-similar, not '
+     'left-absorbing"}}'),
+    (["selfsim", "Z"], 0, "false (canonical form is not scattered + shuffle + scattered)"),
+    (["square2", "--json", "Z"], 0,
+     '{"command": "square2", "input": "Z", "result": "not applicable"}'),
+    (["check", "--json", "Q", "-n", "40"], 0,
+     '{"command": "check", "input": "Q", "result": {"budget": 40, "failed": false, '
+     '"outcomes": [{"predicate": "left_endpoint", "status": "consistent"}, {"predicate": '
+     '"right_endpoint", "status": "consistent"}, {"predicate": "successor_pairs", "status": '
+     '"consistent"}, {"predicate": "density_between", "status": "consistent"}, '
+     '{"predicate": "successor_complete", "status": "witness_found", "witness": "(\'\', '
+     '0)"}, {"predicate": "predecessor_complete", "status": "witness_found", "witness": '
+     '"(\'\', 0)"}, {"predicate": "size", "status": "consistent"}], "term": "Q"}}'),
+    (["parse", "--json", "2++3"], 2,
+     '{"command": "parse", "error": {"kind": "ParseError", "message": "expected an order '
+     'expression, found \'+\'", "span": [2, 3]}, "input": "2++3"}'),
+    (["norm", "--json", "Q[0]"], 2,
+     '{"command": "norm", "error": {"kind": "EmptyShuffleBlock", "message": "shuffle blocks '
+     'must be non-empty orders"}, "input": "Q[0]"}'),
+    (["norm", "--json", "N*(Z+Q[Z]+Z)"], 3,
+     '{"command": "norm", "error": {"kind": "Stuck", "message": "no rewrite applies to '
+     'Product(index=Omega(), fiber=Sum(left=Sum(left=Zeta(), right=Shuffle(blocks=(Zeta(),'
+     '))), right=Zeta()))"}, "input": "N*(Z+Q[Z]+Z)"}'),
+    (["classify", "--json", "N*N+Q[Z]"], 3,
+     '{"command": "classify", "error": {"kind": "Unsupported", "message": "canonical form '
+     'has scattered parts outside the tame fragment"}, "input": "N*N+Q[Z]"}'),
+]
+
+
+@pytest.mark.parametrize("argv, code, expected", PINNED)
+def test_outputs_are_pinned(argv, code, expected, capsys):
+    assert run(argv) == code
+    assert _out(capsys) == (expected + "\n", "")
