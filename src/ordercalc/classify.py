@@ -21,14 +21,12 @@ from typing import NamedTuple
 
 from .canon import (
     CanonicalForm,
-    Equality,
     Fin,
     Scat,
     Shuf,
     StuckError,
     UnsupportedError,
     canonicalize,
-    cf_equal,
     cf_to_term,
     concat_components,
     is_final_segment,
@@ -145,7 +143,8 @@ def is_self_similar(t: OrderTerm) -> SelfSimilarity:
 
 
 def _matches_block(part: CanonicalForm, blocks) -> bool:
-    return any(cf_equal(part, b) is Equality.EQUAL for b in blocks)
+    # Only tame forms get here, and tame forms are isomorphic exactly when equal.
+    return part in blocks
 
 
 def _case_bits(d: Decomposition) -> tuple[bool, bool, bool, bool, bool]:

@@ -1,11 +1,13 @@
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
-from ordercalc.cli import run
+from ordercalc.cli import _COMMANDS, run
 from ordercalc.textio import MAX_DEPTH
 
 RESULT_SCHEMA = {
@@ -377,3 +379,22 @@ PINNED = [
 def test_outputs_are_pinned(argv, code, expected, capsys):
     assert run(argv) == code
     assert _out(capsys) == (expected + "\n", "")
+
+
+ONE_STRING = [["parse"], ["norm"], ["absorbs", "2"], ["absorbs", "N"], ["spectrum"],
+              ["square"], ["square2"], ["dot"]]
+
+
+@pytest.mark.parametrize("term", ["1", "Q", "N + Q[Z] + N~", "1 + Q[1, 2] + 1", "Q[N, Z] + 1"])
+@pytest.mark.parametrize("command", ONE_STRING, ids=" ".join)
+def test_one_string_commands_print_their_json_result(command, term, capsys):
+    code = run([*command, term])
+    text = _out(capsys)[0]
+    assert run([*command, term, "--json"]) == code == 0
+    assert text == json.loads(_out(capsys)[0])["result"] + "\n"
+
+
+def test_readme_command_block_lists_the_command_table():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line\n\n```\n", 1)[1].split("```", 1)[0]
+    assert re.findall(r"^ordercalc (\w+)", block, re.M) == list(_COMMANDS)
