@@ -18,35 +18,22 @@ from functools import cache
 from .terms import (
     Empty,
     Finite,
+    InternalInvariantError,
     Omega,
     OmegaStar,
     OrderTerm,
     Product,
     Shuffle,
     Single,
+    StuckError,
     Sum,
+    UnsupportedError,
     Zeta,
     desugar,
     node,
-    summands,
+    sum_leaves,
 )
 from .textio import print_term
-
-
-class StuckError(Exception):
-    """No sound rewrite applies to a residual product; no verdict is given."""
-
-    def __init__(self, subterm: OrderTerm):
-        super().__init__(f"no rewrite applies to {subterm!r}")
-        self.subterm = subterm
-
-
-class UnsupportedError(Exception):
-    """The query leaves the fragment where verdicts are guaranteed."""
-
-
-class InternalInvariantError(Exception):
-    """A canonical form violated its own invariants; this is a bug."""
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +466,7 @@ def _canon(t: OrderTerm) -> CanonicalForm:
         case Omega() | OmegaStar() | Zeta():
             return CanonicalForm((Scat((_KAPPA[t][1],)),))
         case Sum():
-            return CanonicalForm(concat_components(*(_canon(p).components for p in summands(t))))
+            return CanonicalForm(concat_components(*(_canon(p).components for p in sum_leaves(t))))
         case Shuffle(blocks):
             return CanonicalForm((_canon_shuffle([_canon(b) for b in blocks]),))
         case Product(x, y):
@@ -495,7 +482,7 @@ def _canon_product(x: OrderTerm, y: OrderTerm) -> CanonicalForm:
             return _repeat_form(_canon(y), n)
         case Sum():
             return CanonicalForm(
-                concat_components(*(_canon_product(a, y).components for a in summands(x)))
+                concat_components(*(_canon_product(a, y).components for a in sum_leaves(x)))
             )
         case Product(a, b):
             return _canon_product(a, Product(b, y))

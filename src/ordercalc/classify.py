@@ -24,8 +24,6 @@ from .canon import (
     Fin,
     Scat,
     Shuf,
-    StuckError,
-    UnsupportedError,
     canonicalize,
     cf_to_term,
     concat_components,
@@ -33,7 +31,7 @@ from .canon import (
     is_initial_segment,
 )
 from .profiles import DenseClass, StructProfile, profile
-from .terms import Empty, OrderTerm, Single, desugar
+from .terms import Empty, OrderTerm, Single, StuckError, UnsupportedError, desugar
 
 _ONE = CanonicalForm((Scat((Fin(1),)),))
 
@@ -265,11 +263,3 @@ def square_two_endpoints(x: OrderTerm) -> bool | None:
         for q in (profile(cf_to_term(b)) for b in d.blocks)
     )
 
-
-def absorption_case_predicates(t: OrderTerm) -> list[bool]:
-    """Evaluate the eight case conditions independently (for exclusivity checks)."""
-    d = decompose(t)
-    if d is None:
-        return [False] * 8
-    bits = _case_bits(d)
-    return [row.bits == bits for row in _CASES.values()]

@@ -3,39 +3,25 @@
 Exit codes: 0 a verdict was computed (false is a verdict), 2 parse or
 validation error, 3 no verdict available (stuck product or untame
 input), 4 internal invariant violation.
+
+Imports: at module level this file imports only ``terms`` and ``textio``,
+which every subcommand needs to parse its operands and report errors.
+Each row of ``_COMMANDS`` names the one module its handler runs; ``run``
+imports that module and passes it to the handler, so a one-shot process
+loads only what its subcommand uses.  ``json`` is imported only under
+``--json``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from collections.abc import Callable
+from importlib import import_module
 from typing import NamedTuple
 
-from .canon import (
-    InternalInvariantError,
-    StuckError,
-    UnsupportedError,
-    canonicalize,
-    cf_to_term,
-    to_dot,
-)
-from .classify import (
-    AbsorptionCase,
-    NotSelfSimilar,
-    SelfSimilarNotAbsorbing,
-    absorbs,
-    classify_absorption,
-    is_self_similar,
-    is_square,
-    spectrum_description,
-    square_two_endpoints,
-)
-from .oracle import MatchFailure, back_and_forth, cross_check, enumerate_points
-from .profiles import profile
-from .terms import ValidationError
-from .textio import ParseError, ast_repr, parse, print_term
+from .terms import InternalInvariantError, StuckError, UnsupportedError, ValidationError
+from .textio import ParseError, parse, print_term
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -44,6 +30,8 @@ EXIT_INTERNAL = 4
 
 
 def _decomposition_fields(d):
+    from .canon import cf_to_term  # loaded already, by classify
+
     return {
         "L": print_term(cf_to_term(d.left)),
         "blocks": [print_term(cf_to_term(b)) for b in d.blocks],
@@ -54,41 +42,43 @@ def _decomposition_fields(d):
 _WORD = {True: "true", False: "false", None: "not applicable"}
 
 
-# Handlers take the parsed operands (and the -n/-r value, if any).  A
-# one-string result is both the text line and the JSON result; the others
-# return (text, JSON payload, exit code).
-def _classify(t):
-    match classify_absorption(t):
-        case AbsorptionCase(n, d):
+# Handlers take the module their row names, then the parsed operands (and
+# the -n/-r value, if any).  A one-string result is both the text line
+# and the JSON result; the others return (text, JSON payload, exit code).
+def _classify(classify, t):
+    match classify.classify_absorption(t):
+        case classify.AbsorptionCase(n, d):
             f = _decomposition_fields(d)
             text = f"case {n}\nL: {f['L']}\nblocks: [{', '.join(f['blocks'])}]\nR: {f['R']}"
             return text, {"verdict": f"case {n}", "case": n} | f, EXIT_OK
-        case SelfSimilarNotAbsorbing(reason, d):
+        case classify.SelfSimilarNotAbsorbing(reason, d):
             verdict, fields = "self-similar, not left-absorbing", _decomposition_fields(d)
-        case NotSelfSimilar(reason):
+        case classify.NotSelfSimilar(reason):
             verdict, fields = "not self-similar", {}
     return f"{verdict} ({reason})", {"verdict": verdict, "reason": reason} | fields, EXIT_OK
 
 
-def _selfsim(t):
-    ss = is_self_similar(t)
+def _selfsim(classify, t):
+    ss = classify.is_self_similar(t)
     return "true" if ss else f"false ({ss.reason})", _WORD[bool(ss)], EXIT_OK
 
 
-def _enum(t, count):
-    pts = enumerate_points(t, count)
+def _enum(oracle, t, count):
+    pts = oracle.enumerate_points(t, count)
     return "\n".join(str(c) for c in pts), {"points": pts}, EXIT_OK
 
 
-def _check(t, count):
-    report = cross_check(t, count)
+def _check(oracle, t, count):
+    report = oracle.cross_check(t, count)
     code = EXIT_INTERNAL if report.failed else EXIT_OK
     return report.to_text().rstrip("\n"), report.to_json_dict(), code
 
 
-def _bnf(x, y, rounds):
-    result = back_and_forth(x, y, rounds)
-    if isinstance(result, MatchFailure):
+def _bnf(oracle, x, y, rounds):
+    from .profiles import profile  # loaded already, by oracle
+
+    result = oracle.back_and_forth(x, y, rounds)
+    if isinstance(result, oracle.MatchFailure):
         px, py = profile(x), profile(y)
         bug = px.dense_class is not None and px.dense_class is py.dense_class
         text = f"failure at round {result.round}: {result.reason}"
@@ -102,33 +92,37 @@ def _bnf(x, y, rounds):
 class _Command(NamedTuple):
     help: str
     operands: tuple[str, ...]
+    module: str  # the one ordercalc module the handler runs, imported by run
     handler: Callable
     option: tuple[str, str, int] | None = None  # flag, name and default of -n/-r
 
 
 # One row per subcommand; `ordercalc -h` lists them in this order.
 _COMMANDS = {
-    "parse": _Command("echo the validated syntax tree", ("expr",), ast_repr),
-    "norm": _Command("canonical form, in expression syntax", ("expr",),
-                     lambda t: print_term(cf_to_term(canonicalize(t)))),
-    "classify": _Command("absorption class with witness decomposition", ("expr",), _classify),
-    "absorbs": _Command("does A*X denote the same order as X", ("a", "x"),
-                        lambda a, x: _WORD[absorbs(a, x)]),
-    "spectrum": _Command("description of the absorbed orders", ("expr",),
-                         lambda t: spectrum_description(t).value),
-    "square": _Command("is X isomorphic to X*X", ("expr",), lambda t: _WORD[is_square(t)]),
-    "square2": _Command("square test for orders with both endpoints", ("expr",),
-                        lambda t: _WORD[square_two_endpoints(t)]),
+    "parse": _Command("echo the validated syntax tree", ("expr",), "textio",
+                      lambda textio, t: textio.ast_repr(t)),
+    "norm": _Command("canonical form, in expression syntax", ("expr",), "canon",
+                     lambda canon, t: print_term(canon.cf_to_term(canon.canonicalize(t)))),
+    "classify": _Command("absorption class with witness decomposition", ("expr",), "classify",
+                         _classify),
+    "absorbs": _Command("does A*X denote the same order as X", ("a", "x"), "classify",
+                        lambda classify, a, x: _WORD[classify.absorbs(a, x)]),
+    "spectrum": _Command("description of the absorbed orders", ("expr",), "classify",
+                         lambda classify, t: classify.spectrum_description(t).value),
+    "square": _Command("is X isomorphic to X*X", ("expr",), "classify",
+                       lambda classify, t: _WORD[classify.is_square(t)]),
+    "square2": _Command("square test for orders with both endpoints", ("expr",), "classify",
+                        lambda classify, t: _WORD[classify.square_two_endpoints(t)]),
     "selfsim": _Command("does X contain two disjoint convex copies of itself", ("expr",),
-                        _selfsim),
-    "enum": _Command("first points of the concrete realization", ("expr",), _enum,
+                        "classify", _selfsim),
+    "enum": _Command("first points of the concrete realization", ("expr",), "oracle", _enum,
                      ("-n", "count", 10)),
-    "check": _Command("cross-check symbolic facts against sampled points", ("expr",),
+    "check": _Command("cross-check symbolic facts against sampled points", ("expr",), "oracle",
                       _check, ("-n", "count", 100)),
-    "bnf": _Command("back-and-forth matching transcript", ("x", "y"), _bnf,
+    "bnf": _Command("back-and-forth matching transcript", ("x", "y"), "oracle", _bnf,
                     ("-r", "rounds", 6)),
-    "dot": _Command("canonical form as a DOT digraph", ("expr",),
-                    lambda t: to_dot(canonicalize(t)).rstrip("\n")),
+    "dot": _Command("canonical form as a DOT digraph", ("expr",), "canon",
+                    lambda canon, t: canon.to_dot(canon.canonicalize(t)).rstrip("\n")),
 }
 
 # Errors whose JSON kind and exit code do not depend on the instance.
@@ -170,8 +164,9 @@ def run(argv: list[str]) -> int:
     inputs = [getattr(args, operand) for operand in row.operands]
     doc = {"command": args.command, "input": inputs[0] if len(inputs) == 1 else inputs}
     extra = [] if row.option is None else [getattr(args, row.option[1])]
+    module = import_module(f".{row.module}", __package__)
     try:
-        out = row.handler(*map(parse, inputs), *extra)
+        out = row.handler(module, *map(parse, inputs), *extra)
         text, doc["result"], code = (out, out, EXIT_OK) if isinstance(out, str) else out
     except ParseError as e:
         doc["error"] = {"kind": "ParseError", "message": e.message,
@@ -184,6 +179,8 @@ def run(argv: list[str]) -> int:
         kind, code = _FIXED_KINDS[type(e)]
         doc["error"] = {"kind": kind, "message": str(e)}
     if args.json:
+        import json
+
         sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
     elif "error" in doc:
         sys.stderr.write(f"error: {doc['error']['kind']}: {doc['error']['message']}\n")

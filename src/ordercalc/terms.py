@@ -176,6 +176,24 @@ def summands(t: OrderTerm) -> list[OrderTerm]:
     return parts
 
 
+def sum_leaves(t: OrderTerm) -> list[OrderTerm]:
+    """The parts of t's whole Sum tree, left to right, on whichever side
+    each Sum nests; [t] if t is no Sum.
+
+    A sum is associative, so a caller that needs only the order t denotes
+    may walk these in place of summands.  A reversed sum nests to the
+    right, and this walks it with a loop as well.
+    """
+    parts, todo = [], [t]
+    while todo:
+        u = todo.pop()
+        if isinstance(u, Sum):
+            todo += (u.right, u.left)
+        else:
+            parts.append(u)
+    return parts
+
+
 class ValidationError(ValueError):
     """A term violates a structural invariant.
 
@@ -187,6 +205,22 @@ class ValidationError(ValueError):
         super().__init__(message)
         self.kind = kind
         self.subterm = subterm
+
+
+class StuckError(Exception):
+    """No sound rewrite applies to a residual product; no verdict is given."""
+
+    def __init__(self, subterm: OrderTerm):
+        super().__init__(f"no rewrite applies to {subterm!r}")
+        self.subterm = subterm
+
+
+class UnsupportedError(Exception):
+    """The query leaves the fragment where verdicts are guaranteed."""
+
+
+class InternalInvariantError(Exception):
+    """A canonical form violated its own invariants; this is a bug."""
 
 
 def validate(t: OrderTerm) -> None:
@@ -241,8 +275,12 @@ def desugar(t: OrderTerm) -> OrderTerm:
     else:
         return t
     match t:
-        case Reverse(body):
-            return _reverse(desugar(body))
+        case Reverse():
+            # A chain of reversals cancels in pairs; only its parity counts.
+            odd = False
+            while isinstance(t, Reverse):
+                t, odd = t.body, not odd
+            return _reverse(desugar(t)) if odd else desugar(t)
         case Sum():
             kept = [p for p in map(desugar, summands(t)) if p != Empty()]
             return reduce(Sum, kept) if kept else Empty()
@@ -257,18 +295,27 @@ def desugar(t: OrderTerm) -> OrderTerm:
 
 
 def _reverse(t: OrderTerm) -> OrderTerm:
-    # t is already desugared; push reversal down to the atoms.
-    match t:
-        case Empty() | Single() | Finite() | Zeta():
-            return t
-        case Omega():
-            return OmegaStar()
-        case OmegaStar():
-            return Omega()
-        case Sum(a, b):
-            return Sum(_reverse(b), _reverse(a))
-        case Product(x, y):
-            return Product(_reverse(x), _reverse(y))
-        case Shuffle(blocks):
-            return Shuffle(tuple(_reverse(b) for b in blocks))
-    raise AssertionError(f"unreachable: {t!r}")
+    # t is already desugared; push reversal down to the atoms.  The mirror
+    # of Sum(a, b) is Sum(mirror of b, mirror of a); sums are walked with a
+    # stack, so a long sum, nested on either side, costs no recursion.
+    todo, done = [t], []
+    while todo:
+        match todo.pop():
+            case Sum(a, b):
+                todo += (None, a, b)  # b is mirrored first, then a, then None joins them
+            case None:
+                a, b = done.pop(), done.pop()
+                done.append(Sum(b, a))
+            case Empty() | Single() | Finite() | Zeta() as u:
+                done.append(u)
+            case Omega():
+                done.append(OmegaStar())
+            case OmegaStar():
+                done.append(Omega())
+            case Product(x, y):
+                done.append(Product(_reverse(x), _reverse(y)))
+            case Shuffle(blocks):
+                done.append(Shuffle(tuple(_reverse(b) for b in blocks)))
+            case u:
+                raise AssertionError(f"unreachable: {u!r}")
+    return done.pop()

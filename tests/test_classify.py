@@ -32,7 +32,16 @@ from ordercalc import (
     square_two_endpoints,
 )
 from ordercalc import classify
-from ordercalc.classify import absorption_case_predicates
+
+
+def absorption_case_predicates(t):
+    """The eight case conditions, each evaluated on its own, so that the
+    tests can check that exactly one of them holds."""
+    d = classify.decompose(t)
+    if d is None:
+        return [False] * 8
+    bits = classify._case_bits(d)
+    return [row.bits == bits for row in classify._CASES.values()]
 
 
 def _blocks(d):

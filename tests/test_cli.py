@@ -192,11 +192,20 @@ def test_norm_of_flat_sum_of_3000_terms(capsys):
     (["square", LONG_SUM], "false"),
     (["parse", LONG_SUM], "Sum(" * 2999 + "Single" + ", Single)" * 2999),
     (["norm", f"({LONG_SUM})*N"], " + ".join(["N"] * 3000)),
-], ids=["absorbs", "spectrum", "square", "parse", "norm-product"])
+    (["norm", f"({LONG_SUM})~"], "3000"),
+    (["norm", f"(({LONG_SUM})~ + N)~"], "N~"),
+    (["norm", f"({LONG_SUM})~*N"], " + ".join(["N"] * 3000)),
+    (["norm", "N" + "~" * 500], "N"),
+    (["norm", "N" + "~" * 501], "N~"),
+    (["norm", "(N + 1)" + "~" * 501], "1 + N~"),
+], ids=["absorbs", "spectrum", "square", "parse", "norm-product", "norm-reversed",
+        "norm-reversed-twice", "norm-reversed-product", "norm-tildes-500", "norm-tildes-501",
+        "norm-tildes-sum"])
 def test_commands_on_flat_sum_of_3000_terms(argv, expected):
     # One process per command, as the CLI runs.  desugar hands the parsed
     # sum back as it is, so no cache lookup compares it with an equal
     # 3000-deep tree built apart (which would recurse once per summand).
+    # Reversing a long sum and cancelling a long chain of ~ are loops too.
     proc = subprocess.run([sys.executable, "-m", "ordercalc.cli", *argv],
                           capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stderr) == (0, "")

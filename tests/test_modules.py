@@ -1,5 +1,8 @@
 import ast
 import importlib
+import pickle
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -53,3 +56,110 @@ def test_the_module_level_caches_are_the_four_known_ones():
              if hasattr(obj, "cache_info")}
     expected = [terms.desugar, profiles._profile, canon._canon, oracle._codes_of_weight]
     assert sorted(found) == sorted(map(id, expected))
+
+
+# --- the package surface ---------------------------------------------------------
+
+PUBLIC = """
+    AbsorptionCase CanonicalForm CheckReport Decomposition DenseClass Empty Equality Fin
+    Finite InternalInvariantError InvalidCodeError MatchFailure NotSelfSimilar Omega
+    OmegaStar OrderTerm ParseError PartialIso PointFacts Pow Product Reverse Scat
+    SelfSimilarNotAbsorbing Shuf Shuffle Single SourceSpan Spectrum StructProfile StuckError
+    Sum UnsupportedError ValidationError W Wstar Zat Zeta absorbs ast_repr back_and_forth
+    between canon canonicalize cf_equal cf_to_term classify classify_absorption compare
+    cross_check decompose desugar enumerate_points is_final_segment is_initial_segment
+    is_self_similar is_square oracle parse point_profile print_term profile profiles
+    reverse_form scat_normalize spectrum_description square_two_endpoints terms textio
+    to_dot validate
+""".split()
+SUBMODULES = ["canon", "classify", "oracle", "profiles", "terms", "textio"]
+
+
+def test_the_public_names_are_kept():
+    assert ordercalc.__all__ == sorted(PUBLIC) and len(PUBLIC) == 71
+    assert set(SUBMODULES) <= set(PUBLIC)
+
+
+@pytest.mark.parametrize("name", PUBLIC)
+def test_each_public_name_is_its_modules_own_object(name):
+    value = getattr(ordercalc, name)
+    if name in SUBMODULES:
+        assert value is importlib.import_module(f"ordercalc.{name}")
+    else:
+        assert value is getattr(importlib.import_module(value.__module__), name)
+    assert vars(ordercalc)[name] is value  # resolved once, then a plain global
+
+
+def test_star_import_and_dir_list_the_public_names():
+    namespace: dict = {}
+    exec("from ordercalc import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(PUBLIC)
+    assert set(PUBLIC) <= set(dir(ordercalc))
+
+
+def test_the_errors_live_in_terms_and_canon_re_exports_them():
+    for name in ("StuckError", "UnsupportedError", "InternalInvariantError"):
+        assert getattr(canon, name) is getattr(terms, name) is getattr(ordercalc, name)
+
+
+def test_nodes_and_forms_pickle_through_the_package():
+    t = ordercalc.parse("N + Q[Z, 1 + N~] + 3*N")
+    for obj in (t, ordercalc.canonicalize(t), ordercalc.desugar(ordercalc.parse("(N + Q)~"))):
+        assert pickle.loads(pickle.dumps(obj)) == obj
+
+
+def test_an_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        ordercalc.no_such_name
+    with pytest.raises(ImportError):
+        exec("from ordercalc import no_such_name", {})
+
+
+# --- what a fresh process imports -------------------------------------------------
+
+# Run in a child: the CLI as `python -m ordercalc.cli` runs it, then the
+# ordercalc submodules and json, if the run imported them, one per line.
+_CHILD = """
+import runpy, sys
+before = set(sys.modules)
+if sys.argv[1:]:
+    try:
+        runpy.run_module("ordercalc.cli", run_name="__main__", alter_sys=True)
+    except SystemExit:
+        pass
+else:
+    import ordercalc
+new = set(sys.modules) - before
+print("#", *sorted(m for m in new if m.startswith("ordercalc.") or m == "json"))
+"""
+
+
+def _imported(*argv: str) -> set[str]:
+    proc = subprocess.run([sys.executable, "-c", _CHILD, *argv],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    last = proc.stdout.splitlines()[-1].split()
+    assert last[0] == "#"
+    return {m.removeprefix("ordercalc.") for m in last[1:]}
+
+
+BASE = {"terms", "textio"}
+
+
+@pytest.mark.parametrize("argv, modules", [
+    ((), set()),
+    (("parse", "N"), BASE),
+    (("norm", "N + 1"), BASE | {"canon"}),
+    (("dot", "Q[Z]"), BASE | {"canon"}),
+    *(((cmd, "Q[Z]"), BASE | {"oracle", "profiles"}) for cmd in ("enum", "check")),
+    (("bnf", "Q", "Q"), BASE | {"oracle", "profiles"}),
+    *(((cmd, "N + Q[Z]"), BASE | {"canon", "classify", "profiles"})
+      for cmd in ("classify", "spectrum", "square", "square2", "selfsim")),
+    (("absorbs", "2", "Q[Z]"), BASE | {"canon", "classify", "profiles"}),
+    (("norm", "(1 + Q", "--json"), BASE | {"canon", "json"}),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else None)
+def test_a_fresh_process_imports_only_what_its_command_runs(argv, modules):
+    # `import ordercalc` loads no submodule; a subcommand loads the module
+    # its command-table row names, and what that module imports; json
+    # only under --json.
+    assert _imported(*argv) == modules

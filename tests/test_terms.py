@@ -2,6 +2,7 @@ import copy
 import pickle
 from dataclasses import FrozenInstanceError
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
@@ -22,7 +23,7 @@ from ordercalc import (
     profile,
     validate,
 )
-from ordercalc.terms import summands
+from ordercalc.terms import sum_leaves, summands
 
 
 def test_validate_ok():
@@ -243,6 +244,82 @@ def test_long_sum_spine_hashes_and_walks_without_recursion():
 def test_summands_of_a_sum_spine():
     assert summands(T("1 + N + (Z + 2)")) == [Single(), Omega(), Sum(Zeta(), Finite(2))]
     assert summands(Zeta()) == [Zeta()]
+
+
+def test_sum_leaves_walk_sums_nested_on_either_side():
+    t = Sum(Sum(Single(), Sum(Omega(), Zeta())), Sum(Finite(2), OmegaStar()))
+    assert sum_leaves(t) == [Single(), Omega(), Zeta(), Finite(2), OmegaStar()]
+    assert sum_leaves(Zeta()) == [Zeta()]
+
+
+def _reverse_recursively(t):
+    match t:
+        case Omega():
+            return OmegaStar()
+        case OmegaStar():
+            return Omega()
+        case Sum(a, b):
+            return Sum(_reverse_recursively(b), _reverse_recursively(a))
+        case Product(x, y):
+            return Product(_reverse_recursively(x), _reverse_recursively(y))
+        case Shuffle(blocks):
+            return Shuffle(tuple(map(_reverse_recursively, blocks)))
+    return t
+
+
+def _desugar_recursively(t):
+    # desugar as one recursive call per node and per reversal: the
+    # definition that desugar and terms._reverse walk with loops.
+    match t:
+        case Reverse(body):
+            return _reverse_recursively(_desugar_recursively(body))
+        case Sum(a, b):
+            kept = [p for p in map(_desugar_recursively, (a, b)) if p != Empty()]
+            return Sum(*kept) if len(kept) == 2 else (kept or [Empty()])[0]
+        case Product(x, y):
+            x, y = _desugar_recursively(x), _desugar_recursively(y)
+            return Empty() if Empty() in (x, y) else Product(x, y)
+        case Shuffle(blocks):
+            kept = tuple(b for b in map(_desugar_recursively, blocks) if b != Empty())
+            return Shuffle(kept) if kept else Empty()
+    return t
+
+
+def _reversed(t, times):
+    for _ in range(times):
+        t = Reverse(t)
+    return t
+
+
+_WITH_EMPTY = st.one_of(term_strategy(), st.just(Empty()),
+                        term_strategy().map(lambda t: Sum(t, Empty())))
+
+
+@given(st.tuples(_WITH_EMPTY, _WITH_EMPTY, st.integers(0, 5)))
+def test_desugar_gives_the_tree_of_its_recursive_definition(args):
+    a, b, times = args
+    for t in (_reversed(Sum(a, b), times), Sum(_reversed(a, times), b),
+              Product(_reversed(a, times), _reversed(b, times + 1))):
+        assert desugar(t) == _desugar_recursively(t)
+
+
+def test_long_reversed_sums_and_reversal_chains_desugar_without_recursion():
+    # A cached entry equal to t but built apart would be compared with it
+    # node by node, which still recurses once per summand (a known defect
+    # of the recursive dataclass ==); start from an empty cache.
+    desugar.cache_clear()
+    t = _left_sum(5000)
+    mirrored = desugar(Reverse(t))
+    assert sum_leaves(mirrored) == [Single()] * 5000
+    assert len(summands(mirrored)) == 2  # the mirror of a left spine nests to the right
+    # Deep trees are compared by their stored hashes and their leaves:
+    # == on them recurses once per level.
+    twice = desugar(Reverse(Sum(Reverse(Sum(t, Omega())), Zeta())))
+    assert hash(twice) == hash(Sum(Zeta(), Sum(t, Omega())))
+    assert sum_leaves(twice) == [Zeta(), *[Single()] * 5000, Omega()]
+    assert desugar(_reversed(Omega(), 5000)) == Omega()
+    assert desugar(_reversed(Omega(), 5001)) == OmegaStar()
+    assert desugar(_reversed(t, 5000)) is t  # nothing left to eliminate
 
 
 def test_validate_reports_the_first_bad_summand():
