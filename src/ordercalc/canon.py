@@ -3,11 +3,12 @@ equality, segment decisions, and rendering as terms or DOT digraphs.
 
 A canonical form is an alternating sequence of scattered parts and
 shuffle nodes whose block sets are minimal: no block contains a convex
-copy of the shuffle.  On the tame fragment (scattered parts built from
-finite atoms, N, N*, Z only) structural equality of canonical forms
-decides isomorphism.  Scattered parts that need an infinite-power atom
-(Pow) fall outside that guarantee: equality degrades to
-StructuralOnly, never to a wrong verdict, and segment queries refuse.
+copy of the shuffle.  Equality of canonical forms is ``==``.  On the
+tame fragment (scattered parts built from finite atoms, N, N*, Z only)
+it decides isomorphism.  Scattered parts that need an infinite-power
+atom (Pow) have no normal form yet: outside the tame fragment, Equal
+means identical forms, and different forms are StructuralOnly, never a
+wrong verdict.  Segment queries refuse such forms.
 """
 
 from __future__ import annotations
@@ -237,7 +238,7 @@ def _form_key(cf: CanonicalForm):
     return tuple(_comp_key(c) for c in cf.components)
 
 
-# --- equality (structural, modulo bounded unrolling of Pow atoms) ---
+# --- equality (identity of canonical forms) ---
 
 
 class Equality(Enum):
@@ -246,59 +247,14 @@ class Equality(Enum):
     STRUCTURAL_ONLY = "StructuralOnly"
 
 
-def _unroll_once(cf: CanonicalForm) -> list[CanonicalForm]:
-    out = []
-    for ci, comp in enumerate(cf.components):
-        if not isinstance(comp, Scat):
-            continue
-        for ai, atom in enumerate(comp.atoms):
-            if not isinstance(atom, Pow):
-                continue
-            reps = []
-            if atom.kind in ("N", "Z"):
-                reps.append(_concat_atoms(atom.body, (atom,)))
-            if atom.kind in ("N~", "Z"):
-                reps.append(_concat_atoms((atom,), atom.body))
-            for rep in reps:
-                atoms2 = _concat_atoms(comp.atoms[:ai], rep, comp.atoms[ai + 1:])
-                comps2 = cf.components[:ci] + (Scat(atoms2),) + cf.components[ci + 1:]
-                out.append(CanonicalForm(comps2))
-    return out
-
-
-_UNROLL_DEPTH = 2
-
-
-def _unroll_variants(cf: CanonicalForm) -> frozenset[CanonicalForm]:
-    seen = {cf}
-    frontier = [cf]
-    for _ in range(_UNROLL_DEPTH):
-        nxt = []
-        for f in frontier:
-            for g in _unroll_once(f):
-                if g not in seen:
-                    seen.add(g)
-                    nxt.append(g)
-        frontier = nxt
-    return frozenset(seen)
-
-
-def _eq(a: CanonicalForm, b: CanonicalForm) -> bool:
-    if a == b:
-        return True
-    if a.tame and b.tame:
-        return False
-    return bool(_unroll_variants(a) & _unroll_variants(b))
-
-
 def cf_equal(a: CanonicalForm, b: CanonicalForm) -> Equality:
-    """Equal decides isomorphism on the tame fragment.
+    """Equal exactly when the two forms are identical.
 
-    When either side carries a Pow atom, a non-match means only "not
-    proven": minimal-representation uniqueness covers the tame shapes,
-    so the verdict degrades to StructuralOnly instead of NotEqual.
+    On the tame fragment that decides isomorphism, so different tame
+    forms are NotEqual.  Outside it, Equal means identical forms, and a
+    difference means only "not proven": StructuralOnly, never NotEqual.
     """
-    if _eq(a, b):
+    if a == b:
         return Equality.EQUAL
     if a.tame and b.tame:
         return Equality.NOT_EQUAL
@@ -306,11 +262,6 @@ def cf_equal(a: CanonicalForm, b: CanonicalForm) -> Equality:
 
 
 # --- component concatenation with merge rules ---
-
-
-def _scat_is_block(scat: Scat, shuf: Shuf) -> bool:
-    j = CanonicalForm((scat,))
-    return any(_eq(j, b) for b in shuf.blocks)
 
 
 def _push(out: list, comp) -> None:
@@ -327,7 +278,7 @@ def _push(out: list, comp) -> None:
         len(out) >= 2
         and isinstance(out[-1], Scat)
         and out[-2] == comp
-        and _scat_is_block(out[-1], comp)
+        and CanonicalForm((out[-1],)) in comp.blocks
     ):
         # Q[A] + s + Q[A] with s a block of A: the junction copy of s
         # dissolves into the surrounding dense mixture.
@@ -377,27 +328,7 @@ def _repeat_form(cf: CanonicalForm, n: int) -> CanonicalForm:
 
 
 def _dedup_sort(blocks) -> tuple[CanonicalForm, ...]:
-    out: list[CanonicalForm] = []
-    for b in sorted(blocks, key=_form_key):
-        if not any(_eq(b, kept) for kept in out):
-            out.append(b)
-    return tuple(out)
-
-
-def _blockset_eq(a: tuple[CanonicalForm, ...], b: tuple[CanonicalForm, ...]) -> bool:
-    if a == b:
-        return True
-    if len(a) != len(b):
-        return False
-    remaining = list(b)
-    for x in a:
-        for i, y in enumerate(remaining):
-            if _eq(x, y):
-                del remaining[i]
-                break
-        else:
-            return False
-    return True
+    return tuple(sorted(set(blocks), key=_form_key))
 
 
 def _try_flatten(blocks: tuple[CanonicalForm, ...]) -> tuple[CanonicalForm, ...] | None:
@@ -420,7 +351,7 @@ def _try_flatten(blocks: tuple[CanonicalForm, ...]) -> tuple[CanonicalForm, ...]
         # Q[Q[1,2] + Q] the Q[1,2] that matching one inner set would
         # give: every copy of its block ends in an interval with no
         # successor pair, and Q[1,2] has no such interval.
-        if all(_blockset_eq(candidate, shuf.blocks) for shuf in inner_sets):
+        if all(candidate == shuf.blocks for shuf in inner_sets):
             return candidate
     return None
 
@@ -434,7 +365,7 @@ def _canon_shuffle(blocks) -> Shuf:
         blocks = candidate
     for j in blocks:
         for comp in j.components:
-            if isinstance(comp, Shuf) and _blockset_eq(comp.blocks, blocks):
+            if isinstance(comp, Shuf) and comp.blocks == blocks:
                 raise InternalInvariantError(
                     "a block of a normalized shuffle contains a convex copy of the shuffle"
                 )
@@ -515,7 +446,7 @@ def _kappa_product(x: OrderTerm, y: OrderTerm) -> CanonicalForm:
     # Consecutive copies of the fiber meet as R + L; that junction must
     # dissolve into the dense mixture for the product to collapse.
     junction = _concat_atoms(r_atoms, l_atoms)
-    if junction and not _scat_is_block(Scat(junction), shuf):
+    if junction and CanonicalForm((Scat(junction),)) not in shuf.blocks:
         raise StuckError(Product(x, y))
     if kind == "N":
         return CanonicalForm(left + (shuf,))

@@ -23,7 +23,7 @@ from .terms import (
     Sum,
     Zeta,
     desugar,
-    summands,
+    sum_leaves,
 )
 
 
@@ -112,7 +112,7 @@ def _profile(t: OrderTerm) -> StructProfile:
         case Zeta():
             return _mk(False, None, False, False, False, True, True)
         case Sum():
-            return reduce(_sum_profile, map(_profile, summands(t)))
+            return reduce(_sum_profile, map(_profile, sum_leaves(t)))
         case Product(x, y):
             px, py = _profile(x), _profile(y)
             # A copy boundary exists only when the index has >= 2

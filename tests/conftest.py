@@ -1,3 +1,5 @@
+import sys
+
 import hypothesis.strategies as st
 
 from ordercalc import (
@@ -51,14 +53,39 @@ _ATOMS = st.sampled_from(
 )
 
 
-def term_strategy(max_leaves: int = 8):
+def term_strategy(max_leaves: int = 8, shuffles: bool = True):
+    """Terms over the atoms by sum, product, reversal and, if shuffles, Q[...]."""
     return st.recursive(
         _ATOMS,
         lambda children: st.one_of(
             st.tuples(children, children).map(lambda ab: Sum(ab[0], ab[1])),
             st.tuples(children, children).map(lambda ab: Product(ab[0], ab[1])),
-            st.lists(children, min_size=1, max_size=3).map(lambda bs: Shuffle(tuple(bs))),
+            *([st.lists(children, min_size=1, max_size=3).map(lambda bs: Shuffle(tuple(bs)))]
+              if shuffles else []),
             children.map(Reverse),
         ),
         max_leaves=max_leaves,
     )
+
+
+class OverBudget(BaseException):
+    """Raised into a call that makes more Python calls than its budget."""
+
+
+def with_budget(calls: int, fn, *args):
+    """fn(*args), stopped with OverBudget after `calls` Python function
+    calls.  Counted calls, unlike time, do not depend on the machine."""
+    left = calls
+
+    def count(frame, event, arg):
+        nonlocal left
+        left -= 1
+        if left < 0:
+            raise OverBudget
+        # no local trace function: only call events reach the hook
+
+    sys.settrace(count)
+    try:
+        return fn(*args)
+    finally:
+        sys.settrace(None)

@@ -198,14 +198,17 @@ def test_norm_of_flat_sum_of_3000_terms(capsys):
     (["norm", "N" + "~" * 500], "N"),
     (["norm", "N" + "~" * 501], "N~"),
     (["norm", "(N + 1)" + "~" * 501], "1 + N~"),
+    (["square", f"({LONG_SUM})~"], "false"),
+    (["square2", f"({LONG_SUM})~"], "false"),
 ], ids=["absorbs", "spectrum", "square", "parse", "norm-product", "norm-reversed",
         "norm-reversed-twice", "norm-reversed-product", "norm-tildes-500", "norm-tildes-501",
-        "norm-tildes-sum"])
+        "norm-tildes-sum", "square-reversed", "square2-reversed"])
 def test_commands_on_flat_sum_of_3000_terms(argv, expected):
     # One process per command, as the CLI runs.  desugar hands the parsed
     # sum back as it is, so no cache lookup compares it with an equal
     # 3000-deep tree built apart (which would recurse once per summand).
-    # Reversing a long sum and cancelling a long chain of ~ are loops too.
+    # Reversing a long sum, cancelling a long chain of ~ and profiling a
+    # sum, however it nests, are loops too.
     proc = subprocess.run([sys.executable, "-m", "ordercalc.cli", *argv],
                           capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stderr) == (0, "")
@@ -260,6 +263,16 @@ def test_stuck_exit_three(capsys):
 
 def test_unsupported_exit_three(capsys):
     assert run(["classify", "N*N + Q[Z]"]) == 3
+
+
+def test_norm_keeps_a_z_power_and_its_unrolling_apart(capsys):
+    # N + Z*N has a least point and Z*N has none: two blocks, not one.
+    assert run(["norm", "Q[Z*N,N+Z*N]"]) == 0
+    assert _out(capsys)[0] == "Q[N + Z*N,Z*N]\n"
+    # So the junction N + Z*N of the fiber is no block, and the product
+    # has no sound rewrite.
+    assert run(["norm", "N*(Z*N + Q[N + Z*N])"]) == 3
+    assert "Stuck" in _out(capsys)[1]
 
 
 SINGLE_TERM_COMMANDS = ["parse", "norm", "classify", "spectrum", "square", "square2",

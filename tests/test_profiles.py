@@ -12,6 +12,7 @@ from ordercalc import (
     point_profile,
     profile,
 )
+from ordercalc.profiles import _sum_profile
 
 
 def test_dense_with_both_endpoints():
@@ -107,6 +108,13 @@ def _mirror(p: StructProfile) -> StructProfile:
 @given(term_strategy())
 def test_mirror_law(t):
     assert profile(desugar(Reverse(t))) == _mirror(profile(t))
+
+
+@given(term_strategy(), term_strategy(), term_strategy())
+def test_sum_profile_is_associative(a, b, c):
+    # profile folds a sum's leaves left to right, whichever way it nests.
+    pa, pb, pc = map(profile, (a, b, c))
+    assert _sum_profile(_sum_profile(pa, pb), pc) == _sum_profile(pa, _sum_profile(pb, pc))
 
 
 def test_corpus_profiles_have_no_endpoint_on_shuffle_side():

@@ -36,7 +36,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import A_TERMS
+from conftest import A_TERMS, OverBudget, with_budget
 from ordercalc import (
     StuckError,
     UnsupportedError,
@@ -59,27 +59,6 @@ BUDGET_CALLS = 200_000
 STOPS = {StuckError: "Stuck", UnsupportedError: "Unsupported"}
 
 
-class OverBudget(BaseException):
-    """Raised into a query that makes more Python calls than its budget."""
-
-
-def _with_budget(calls: int, fn, *args):
-    left = calls
-
-    def count(frame, event, arg):
-        nonlocal left
-        left -= 1
-        if left < 0:
-            raise OverBudget
-        # no local trace function: only call events reach the hook
-
-    sys.settrace(count)
-    try:
-        return fn(*args)
-    finally:
-        sys.settrace(None)
-
-
 def _ask(text: str, line: dict) -> None:
     x = desugar(parse(text))
     line["profile"] = [getattr(v, "value", v) for v in vars(profile(x)).values()]
@@ -98,7 +77,7 @@ def answers(text: str) -> dict:
         f.cache_clear()
     line = {"term": text}
     try:
-        _with_budget(BUDGET_CALLS, _ask, text, line)
+        with_budget(BUDGET_CALLS, _ask, text, line)
     except OverBudget:
         line["stop"] = "OverBudget"
     except (StuckError, UnsupportedError) as e:
