@@ -182,7 +182,8 @@ def test_not_equal_by_initial_segment():
 def test_equal_after_power_unroll():
     # The two orders are isomorphic, but forms with a Pow atom have no
     # normal form yet, and equality is identity of forms: not proven.
-    assert cf_equal(canonicalize(T("N*N")), canonicalize(T("N + N*N"))) is Equality.STRUCTURAL_ONLY
+    eq = cf_equal(canonicalize(T("N*N")), canonicalize(T("N + N*N")))
+    assert eq is Equality.STRUCTURAL_ONLY
 
 
 @pytest.mark.parametrize("a, b", [
@@ -207,9 +208,9 @@ def test_equal_powers_and_their_unrollings_have_equal_profiles(x, kappa):
 
 
 def test_canonicalizing_the_untame_reference_term_stays_within_a_call_budget():
-    # A 60-character term whose form holds Pow atoms.  Deduplicating its
-    # shuffle blocks by a search over unrollings made about 33 million
-    # Python calls; comparing forms with == makes about 13 thousand.
+    # The benchmark's untame reference term: its form holds Pow atoms
+    # inside shuffle blocks, and comparing forms with == keeps
+    # canonicalizing it near 13 thousand Python calls.
     x = T("(Q[Q[Q[Z,N~],2,6],N~ + (6)*(8)])*((Z + 6 + 9)*(4 + 8 + N + 1))")
     for f in (terms.desugar, canon._canon):
         f.cache_clear()
