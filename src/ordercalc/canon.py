@@ -14,7 +14,7 @@ wrong verdict.  Segment queries refuse such forms.
 from __future__ import annotations
 
 from enum import Enum
-from functools import cache
+from functools import cache, reduce
 
 from .terms import (
     Empty,
@@ -31,8 +31,9 @@ from .terms import (
     UnsupportedError,
     Zeta,
     desugar,
+    leaves,
     node,
-    sum_leaves,
+    operands,
 )
 from .textio import print_term
 
@@ -266,8 +267,6 @@ def cf_equal(a: CanonicalForm, b: CanonicalForm) -> Equality:
 
 def _push(out: list, comp) -> None:
     if isinstance(comp, Scat):
-        if out and isinstance(out[-1], Scat):
-            comp = Scat(_concat_atoms(out.pop().atoms, comp.atoms))
         if comp.atoms:
             out.append(comp)
         return
@@ -397,10 +396,16 @@ def _canon(t: OrderTerm) -> CanonicalForm:
         case Omega() | OmegaStar() | Zeta():
             return CanonicalForm((Scat((_KAPPA[t][1],)),))
         case Sum():
-            return CanonicalForm(concat_components(*(_canon(p).components for p in sum_leaves(t))))
+            return CanonicalForm(concat_components(*(_canon(p).components for p in leaves(t))))
         case Shuffle(blocks):
             return CanonicalForm((_canon_shuffle([_canon(b) for b in blocks]),))
-        case Product(x, y):
+        case Product():
+            # x1*...*xk*y is canonicalized as x1*(...*(xk*y)) from the
+            # inside out, so each step finds its fiber's form in the cache.
+            x, *xs, y = operands(t)
+            for i in reversed(xs):
+                y = Product(i, y)
+                _canon(y)
             return _canon_product(x, y)
     raise AssertionError(f"unreachable: {t!r}")
 
@@ -413,10 +418,8 @@ def _canon_product(x: OrderTerm, y: OrderTerm) -> CanonicalForm:
             return _repeat_form(_canon(y), n)
         case Sum():
             return CanonicalForm(
-                concat_components(*(_canon_product(a, y).components for a in sum_leaves(x)))
+                concat_components(*(_canon(Product(a, y)).components for a in leaves(x)))
             )
-        case Product(a, b):
-            return _canon_product(a, Product(b, y))
         case Shuffle(blocks):
             return _canon(Shuffle(tuple(Product(i, y) for i in blocks)))
         case Omega() | OmegaStar() | Zeta():
@@ -429,9 +432,7 @@ def _kappa_product(x: OrderTerm, y: OrderTerm) -> CanonicalForm:
     cf = _canon(y)
     shuf_at = [i for i, c in enumerate(cf.components) if isinstance(c, Shuf)]
     if not shuf_at:
-        atoms = cf.components[0].atoms if cf.components else ()
-        if not atoms:
-            return EMPTY_FORM
+        atoms = cf.components[0].atoms
         if len(atoms) == 1 and isinstance(atoms[0], Fin):
             return CanonicalForm((Scat((atom,)),))
         return CanonicalForm((Scat(_pow_atoms(kind, atoms)),))
@@ -475,17 +476,8 @@ def _atom_term(a: ScatAtom) -> OrderTerm:
     raise AssertionError
 
 
-def _fold_sum(parts: list[OrderTerm]) -> OrderTerm:
-    if not parts:
-        return Empty()
-    out = parts[0]
-    for p in parts[1:]:
-        out = Sum(out, p)
-    return out
-
-
 def _atoms_term(atoms: tuple[ScatAtom, ...]) -> OrderTerm:
-    return _fold_sum([_atom_term(a) for a in atoms])
+    return reduce(Sum, map(_atom_term, atoms))
 
 
 def cf_to_term(cf: CanonicalForm) -> OrderTerm:
@@ -496,7 +488,7 @@ def cf_to_term(cf: CanonicalForm) -> OrderTerm:
             parts.append(_atoms_term(comp.atoms))
         else:
             parts.append(Shuffle(tuple(cf_to_term(b) for b in comp.blocks)))
-    return _fold_sum(parts)
+    return reduce(Sum, parts) if parts else Empty()
 
 
 def to_dot(cf: CanonicalForm) -> str:

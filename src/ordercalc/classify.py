@@ -140,19 +140,16 @@ def is_self_similar(t: OrderTerm) -> SelfSimilarity:
     return _classification(t)[0]
 
 
-def _matches_block(part: CanonicalForm, blocks) -> bool:
-    # Only tame forms get here, and tame forms are isomorphic exactly when equal.
-    return part in blocks
-
-
 def _case_bits(d: Decomposition) -> tuple[bool, bool, bool, bool, bool]:
     """(L empty, R empty, L is a block, R is a block, R + L is a block)."""
+    # Only tame forms get here, and tame forms are isomorphic exactly when
+    # equal, so a part matches a block when it is one.
     l_empty = not d.left.components
     r_empty = not d.right.components
-    b_left = not l_empty and _matches_block(d.left, d.blocks)
-    b_right = not r_empty and _matches_block(d.right, d.blocks)
-    b_junction = not (l_empty or r_empty) and _matches_block(
-        CanonicalForm(concat_components(d.right.components, d.left.components)), d.blocks
+    b_left = not l_empty and d.left in d.blocks
+    b_right = not r_empty and d.right in d.blocks
+    b_junction = not (l_empty or r_empty) and (
+        CanonicalForm(concat_components(d.right.components, d.left.components)) in d.blocks
     )
     return l_empty, r_empty, b_left, b_right, b_junction
 

@@ -23,7 +23,7 @@ from .terms import (
     Sum,
     Zeta,
     desugar,
-    sum_leaves,
+    leaves,
 )
 
 
@@ -91,6 +91,28 @@ def _sum_profile(pa: StructProfile, pb: StructProfile) -> StructProfile:
     )
 
 
+def _product_profile(px: StructProfile, py: StructProfile) -> StructProfile:
+    # A copy boundary exists only when the index has >= 2 points; for a
+    # singleton index the boundary conditions are vacuous and the product
+    # is a single copy of the fiber.
+    many = px.size is None or px.size >= 2
+    return _mk(
+        False,
+        _mul(px.size, py.size),
+        px.has_left_endpoint and py.has_left_endpoint,
+        px.has_right_endpoint and py.has_right_endpoint,
+        py.succ_pair_free
+        and (not many or not py.has_right_endpoint
+             or not py.has_left_endpoint or px.succ_pair_free),
+        py.succ_complete
+        and (not many or not py.has_right_endpoint
+             or (py.has_left_endpoint and px.succ_complete)),
+        py.pred_complete
+        and (not many or not py.has_left_endpoint
+             or (py.has_right_endpoint and px.pred_complete)),
+    )
+
+
 def profile(t: OrderTerm) -> StructProfile:
     """Profile of the order denoted by t (reversal and 0 are desugared away)."""
     return _profile(desugar(t))
@@ -111,29 +133,10 @@ def _profile(t: OrderTerm) -> StructProfile:
             return _mk(False, None, False, True, False, True, True)
         case Zeta():
             return _mk(False, None, False, False, False, True, True)
-        case Sum():
-            return reduce(_sum_profile, map(_profile, sum_leaves(t)))
-        case Product(x, y):
-            px, py = _profile(x), _profile(y)
-            # A copy boundary exists only when the index has >= 2
-            # points; for a singleton index the boundary conditions are
-            # vacuous and the product is a single copy of the fiber.
-            many = px.size is None or px.size >= 2
-            return _mk(
-                False,
-                _mul(px.size, py.size),
-                px.has_left_endpoint and py.has_left_endpoint,
-                px.has_right_endpoint and py.has_right_endpoint,
-                py.succ_pair_free
-                and (not many or not py.has_right_endpoint
-                     or not py.has_left_endpoint or px.succ_pair_free),
-                py.succ_complete
-                and (not many or not py.has_right_endpoint
-                     or (py.has_left_endpoint and px.succ_complete)),
-                py.pred_complete
-                and (not many or not py.has_left_endpoint
-                     or (py.has_right_endpoint and px.pred_complete)),
-            )
+        case Sum() | Product():
+            # Both rules are associative: fold over the leaves however they nest.
+            rule = _sum_profile if isinstance(t, Sum) else _product_profile
+            return reduce(rule, map(_profile, leaves(t)))
         case Shuffle(blocks):
             ps = [_profile(b) for b in blocks]
             return _mk(

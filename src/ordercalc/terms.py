@@ -161,34 +161,38 @@ class Reverse(OrderTerm):
     body: OrderTerm
 
 
-def summands(t: OrderTerm) -> list[OrderTerm]:
-    """The parts of t's left-nested Sum spine, left to right; [t] if t is no Sum.
+# The binary nodes whose chains are spines, and how to split each one.
+_SPINES = {Sum: attrgetter("left", "right"), Product: attrgetter("index", "fiber")}
 
-    Sums nest to the left, so a long sum is a deep spine; callers walk
-    its parts with a loop instead of recursing once per summand.
-    """
-    parts = []
-    while isinstance(t, Sum):
-        parts.append(t.right)
-        t = t.left
+
+def operands(t: OrderTerm) -> list[OrderTerm]:
+    """The operands of t's left-nested Sum or Product spine, left to right;
+    [t] if t is neither.  A long chain is a deep spine: callers walk its
+    operands with a loop instead of recursing once per operand."""
+    op, parts = type(t), []
+    split = _SPINES.get(op)
+    while split and type(t) is op:
+        t, right = split(t)
+        parts.append(right)
     parts.append(t)
     parts.reverse()
     return parts
 
 
-def sum_leaves(t: OrderTerm) -> list[OrderTerm]:
-    """The parts of t's whole Sum tree, left to right, on whichever side
-    each Sum nests; [t] if t is no Sum.
+def leaves(t: OrderTerm) -> list[OrderTerm]:
+    """The operands of t's whole Sum or Product tree, left to right, on
+    whichever side each node nests; [t] if t is neither.
 
-    A sum is associative, so a caller that needs only the order t denotes
-    may walk these in place of summands.  A reversed sum nests to the
-    right, and this walks it with a loop as well.
+    Both operators are associative, so a caller that needs only the order
+    t denotes may walk these in place of operands.  A reversed sum nests
+    to the right, and this walks it with a loop as well.
     """
-    parts, todo = [], [t]
+    op, parts, todo = type(t), [], [t]
+    split = _SPINES.get(op)
     while todo:
         u = todo.pop()
-        if isinstance(u, Sum):
-            todo += (u.right, u.left)
+        if split and type(u) is op:
+            todo += reversed(split(u))
         else:
             parts.append(u)
     return parts
@@ -231,12 +235,9 @@ def validate(t: OrderTerm) -> None:
         case Finite(n):
             if not isinstance(n, int) or n < 2:
                 raise ValidationError("BadFinite", t, f"Finite needs n >= 2, got {n!r}")
-        case Sum():
-            for part in summands(t):
+        case Sum() | Product():
+            for part in operands(t):
                 validate(part)
-        case Product(x, y):
-            validate(x)
-            validate(y)
         case Shuffle(blocks):
             if not blocks:
                 raise ValidationError("EmptyBlockList", t, "shuffle needs at least one block")
@@ -244,8 +245,10 @@ def validate(t: OrderTerm) -> None:
                 if b == Empty():
                     raise ValidationError("EmptyShuffleBlock", t, "shuffle blocks must be non-empty orders")
                 validate(b)
-        case Reverse(body):
-            validate(body)
+        case Reverse():
+            while isinstance(t, Reverse):
+                t = t.body
+            validate(t)
         case _:
             raise TypeError(f"not an OrderTerm: {t!r}")
 
@@ -281,14 +284,12 @@ def desugar(t: OrderTerm) -> OrderTerm:
             while isinstance(t, Reverse):
                 t, odd = t.body, not odd
             return _reverse(desugar(t)) if odd else desugar(t)
-        case Sum():
-            kept = [p for p in map(desugar, summands(t)) if p != Empty()]
-            return reduce(Sum, kept) if kept else Empty()
-        case Product(x, y):
-            x, y = desugar(x), desugar(y)
-            if x == Empty() or y == Empty():
-                return Empty()
-            return Product(x, y)
+        case Sum() | Product():
+            parts = list(map(desugar, operands(t)))
+            if isinstance(t, Product) and Empty() in parts:
+                return Empty()  # an empty factor empties the product
+            kept = [p for p in parts if p != Empty()]  # an empty summand drops out
+            return reduce(type(t), kept) if kept else Empty()
         case Shuffle(blocks):
             kept = tuple(b for b in map(desugar, blocks) if b != Empty())
             return Shuffle(kept) if kept else Empty()
@@ -296,24 +297,24 @@ def desugar(t: OrderTerm) -> OrderTerm:
 
 def _reverse(t: OrderTerm) -> OrderTerm:
     # t is already desugared; push reversal down to the atoms.  The mirror
-    # of Sum(a, b) is Sum(mirror of b, mirror of a); sums are walked with a
-    # stack, so a long sum, nested on either side, costs no recursion.
+    # of Sum(a, b) is Sum(b~, a~) and that of Product(x, y) is Product(x~, y~);
+    # both are walked with a stack, so a long chain costs no recursion.
     todo, done = [t], []
     while todo:
         match todo.pop():
-            case Sum(a, b):
-                todo += (None, a, b)  # b is mirrored first, then a, then None joins them
-            case None:
-                a, b = done.pop(), done.pop()
-                done.append(Sum(b, a))
+            case Sum(a, b) | Product(b, a) as u:
+                # b is mirrored first, then a, then the operator joins the
+                # mirrors in that order: a sum's parts swap, a product's not.
+                todo += (type(u), a, b)
+            case type() as op:
+                ma, mb = done.pop(), done.pop()
+                done.append(op(mb, ma))
             case Empty() | Single() | Finite() | Zeta() as u:
                 done.append(u)
             case Omega():
                 done.append(OmegaStar())
             case OmegaStar():
                 done.append(Omega())
-            case Product(x, y):
-                done.append(Product(_reverse(x), _reverse(y)))
             case Shuffle(blocks):
                 done.append(Shuffle(tuple(_reverse(b) for b in blocks)))
             case u:

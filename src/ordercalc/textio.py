@@ -30,7 +30,7 @@ from .terms import (
     Single,
     Sum,
     Zeta,
-    summands,
+    operands,
     validate,
 )
 
@@ -181,6 +181,8 @@ def parse(text: str) -> OrderTerm:
 
 
 _SUM, _PROD, _POST, _ATOM = 0, 1, 2, 3
+# Each spine operator: its text, its precedence, and its later operands' one.
+_OPS = {Sum: (" + ", _SUM, _PROD), Product: ("*", _PROD, _POST)}
 
 
 def _pr(t: OrderTerm, need: int) -> str:
@@ -203,14 +205,15 @@ def _pr(t: OrderTerm, need: int) -> str:
             else:
                 s = "Q[" + ",".join(_pr(b, _SUM) for b in blocks) + "]"
             prec = _ATOM
-        case Reverse(body):
-            s, prec = _pr(body, _POST) + "~", _POST
-        case Product(x, y):
-            s, prec = _pr(x, _PROD) + "*" + _pr(y, _POST), _PROD
-        case Sum():
-            first, *rest = summands(t)
-            s = " + ".join([_pr(first, _SUM), *(_pr(r, _PROD) for r in rest)])
-            prec = _SUM
+        case Reverse():
+            n = 0
+            while isinstance(t, Reverse):
+                t, n = t.body, n + 1
+            s, prec = _pr(t, _POST) + "~" * n, _POST
+        case Sum() | Product():
+            text, prec, later = _OPS[type(t)]
+            first, *rest = operands(t)
+            s = text.join([_pr(first, prec), *(_pr(r, later) for r in rest)])
         case _:
             raise TypeError(f"not an OrderTerm: {t!r}")
     return f"({s})" if prec < need else s
@@ -241,16 +244,17 @@ def ast_repr(t: OrderTerm) -> str:
             return "OmegaStar"
         case Zeta():
             return "Zeta"
-        case Sum():
+        case Sum() | Product():
             # Sum(Sum(a, b), c) for a + b + c, built from the spine's parts
-            # without recursing once per summand.
-            first, *rest = summands(t)
+            # without recursing once per operand.
+            first, *rest = operands(t)
             tail = "".join(f", {ast_repr(r)})" for r in rest)
-            return "Sum(" * len(rest) + ast_repr(first) + tail
-        case Product(x, y):
-            return f"Product({ast_repr(x)}, {ast_repr(y)})"
+            return f"{type(t).__name__}(" * len(rest) + ast_repr(first) + tail
         case Shuffle(blocks):
             return "Shuffle([" + ", ".join(ast_repr(b) for b in blocks) + "])"
-        case Reverse(body):
-            return f"Reverse({ast_repr(body)})"
+        case Reverse():
+            n = 0
+            while isinstance(t, Reverse):
+                t, n = t.body, n + 1
+            return "Reverse(" * n + ast_repr(t) + ")" * n
     raise TypeError(f"not an OrderTerm: {t!r}")

@@ -29,6 +29,7 @@ from ordercalc import (
     canonicalize,
     cf_equal,
     cf_to_term,
+    classify_absorption,
     enumerate_points,
     is_final_segment,
     is_initial_segment,
@@ -215,6 +216,16 @@ def test_canonicalizing_the_untame_reference_term_stays_within_a_call_budget():
     for f in (terms.desugar, canon._canon):
         f.cache_clear()
     assert not with_budget(200_000, canonicalize, x).tame
+
+
+def test_classifying_a_long_product_chain_stays_within_a_call_budget():
+    # 2*...*2*Q with 3000 factors: each step of the product spine finds its
+    # fiber's form in the cache, so the cost grows linearly, near 24
+    # Python calls per factor.
+    x = T("*".join(["2"] * 3000) + "*Q")
+    for f in (terms.desugar, canon._canon):
+        f.cache_clear()
+    assert with_budget(200_000, classify_absorption, x).case == 1
 
 
 def test_structural_only_outside_tame_fragment():

@@ -215,6 +215,36 @@ def test_commands_on_flat_sum_of_3000_terms(argv, expected):
     assert proc.stdout == expected + "\n"
 
 
+NOT_SELF_SIMILAR = "not self-similar (canonical form is not scattered + shuffle + scattered)"
+CHAINS = {
+    **{f"product-{n}": "*".join(["1"] * n) for n in (300, 3000)},
+    **{f"reversed-product-{n}": "(" + "*".join(["1"] * n) + ")~" for n in (300, 3000)},
+    "tildes-3000": "N" + "~" * 3000,
+}
+CHAIN_ROWS = [
+    *((["parse", f"product-{n}"], "Product(" * (n - 1) + "Single" + ", Single)" * (n - 1))
+      for n in (300, 3000)),
+    *(([command, f"product-{n}"], out) for n in (300, 3000) for command, out in
+      [("norm", "1"), ("classify", NOT_SELF_SIMILAR), ("absorbs 2", "false"), ("square", "true")]),
+    *(([command, f"reversed-product-{n}"], out) for n in (300, 3000) for command, out in
+      [("norm", "1"), ("classify", NOT_SELF_SIMILAR)]),
+    (["parse", "tildes-3000"], "Reverse(" * 3000 + "Omega" + ")" * 3000),
+    (["norm", "tildes-3000"], "N"),
+    (["classify", "tildes-3000"], NOT_SELF_SIMILAR),
+]
+
+
+@pytest.mark.parametrize("command, chain, expected", [(*row, out) for row, out in CHAIN_ROWS],
+                         ids=[" ".join(row) for row, _ in CHAIN_ROWS])
+def test_commands_on_long_product_and_reversal_chains(command, chain, expected):
+    # Product spines are walked with loops, as sum spines are, and so are
+    # chains of ~: no layer recurses once per factor or once per ~.
+    proc = subprocess.run([sys.executable, "-m", "ordercalc.cli", *command.split(), CHAINS[chain]],
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == expected + "\n"
+
+
 COMMANDS = [["parse"], ["norm"], ["classify"], ["absorbs", "2"], ["spectrum"], ["square"],
             ["square2"], ["selfsim"], ["enum"], ["check"], ["bnf"], ["dot"]]
 # Shapes that recurse most per level of nesting among those tried: reversed

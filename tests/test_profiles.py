@@ -1,4 +1,4 @@
-from hypothesis import given
+from hypothesis import given, seed, settings
 
 from conftest import GOLDEN, T, term_strategy
 from ordercalc import (
@@ -12,7 +12,7 @@ from ordercalc import (
     point_profile,
     profile,
 )
-from ordercalc.profiles import _sum_profile
+from ordercalc.profiles import _product_profile, _sum_profile
 
 
 def test_dense_with_both_endpoints():
@@ -115,6 +115,16 @@ def test_sum_profile_is_associative(a, b, c):
     # profile folds a sum's leaves left to right, whichever way it nests.
     pa, pb, pc = map(profile, (a, b, c))
     assert _sum_profile(_sum_profile(pa, pb), pc) == _sum_profile(pa, _sum_profile(pb, pc))
+
+
+@given(term_strategy(), term_strategy(), term_strategy())
+@settings(max_examples=300, deadline=None)
+@seed(20230923)
+def test_product_profile_is_associative(a, b, c):
+    # profile folds a product's leaves left to right, whichever way it nests.
+    pa, pb, pc = map(profile, (a, b, c))
+    assert (_product_profile(_product_profile(pa, pb), pc)
+            == _product_profile(pa, _product_profile(pb, pc)))
 
 
 def test_corpus_profiles_have_no_endpoint_on_shuffle_side():

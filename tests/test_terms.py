@@ -23,7 +23,7 @@ from ordercalc import (
     profile,
     validate,
 )
-from ordercalc.terms import sum_leaves, summands
+from ordercalc.terms import leaves as sum_leaves, operands as summands
 
 
 def test_validate_ok():
