@@ -15,7 +15,6 @@ the end read the kept decomposition but test the cases themselves.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -31,32 +30,38 @@ from .canon import (
     is_initial_segment,
 )
 from .profiles import DenseClass, StructProfile, profile
-from .terms import Empty, OrderTerm, Single, StuckError, UnsupportedError, desugar
+from .terms import Empty, OrderTerm, Single, StuckError, UnsupportedError, desugar, node
 
 _ONE = CanonicalForm((Scat((Fin(1),)),))
 
 
-@dataclass(frozen=True)
+@node
 class Decomposition:
     """The shape L + Q[blocks] + R; left/right are empty forms when absent."""
+
+    __slots__ = ("left", "blocks", "right", "_hash")
 
     left: CanonicalForm
     blocks: tuple[CanonicalForm, ...]
     right: CanonicalForm
 
 
-@dataclass(frozen=True)
+@node
 class NotSelfSimilar:
+    __slots__ = ("reason", "_hash")
+
     reason: str
 
 
-@dataclass(frozen=True)
+@node
 class SelfSimilarNotAbsorbing:
+    __slots__ = ("reason", "decomposition", "_hash")
+
     reason: str
     decomposition: Decomposition
 
 
-@dataclass(frozen=True)
+@node
 class AbsorptionCase:
     """One of the eight absorbing shapes, with its witness decomposition.
 
@@ -64,6 +69,8 @@ class AbsorptionCase:
     4: L and R are blocks but R + L is not.  5-8: R + L is a block and
     (neither / only L / only R / both) of L, R are blocks.
     """
+
+    __slots__ = ("case", "decomposition", "_hash")
 
     case: int
     decomposition: Decomposition
@@ -84,8 +91,10 @@ class Spectrum(Enum):
     TRIVIAL_ONLY = "TrivialOnly"
 
 
-@dataclass(frozen=True)
+@node
 class SelfSimilarity:
+    __slots__ = ("holds", "decomposition", "reason", "_hash")
+
     holds: bool
     decomposition: Decomposition | None
     reason: str | None

@@ -7,7 +7,6 @@ facts about the denoted order, not heuristics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cache, reduce
 
@@ -24,6 +23,7 @@ from .terms import (
     Zeta,
     desugar,
     leaves,
+    node,
 )
 
 
@@ -34,7 +34,7 @@ class DenseClass(Enum):
     ONE_Q_ONE = "OneQOne"
 
 
-@dataclass(frozen=True)
+@node
 class StructProfile:
     """Decidable facts about an order.
 
@@ -45,6 +45,9 @@ class StructProfile:
     ``dense_class`` is set exactly when the order is dense (pair-free
     with at least two points) and then records its endpoint shape.
     """
+
+    __slots__ = ("is_empty", "size", "has_left_endpoint", "has_right_endpoint",
+                 "succ_pair_free", "succ_complete", "pred_complete", "dense_class", "_hash")
 
     is_empty: bool
     size: int | None

@@ -14,7 +14,6 @@ constant time and never recurses, however deep the term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, reduce
 from operator import attrgetter
 
@@ -29,36 +28,47 @@ def _reduce(self):
     return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
 
+def _frozen(self, name, *value):
+    from dataclasses import FrozenInstanceError  # loaded only on this error path
+
+    raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
 def node(cls):
     """Make cls an immutable tree node whose hash is computed once.
 
     cls lists its fields as annotations and, with a ``_hash`` slot that
-    a base class may supply, in ``__slots__``.  The node is a frozen
-    dataclass on those slots; its ``__post_init__`` runs the class's
-    own ``__post_init__``, if any, then stores the hash of the class
-    name and the field values, and ``__hash__`` returns it.  A class
-    without fields keeps its one hash value on the class instead.  The
-    class name tells apart nodes with equal fields, such as
-    ``Sum(a, b)`` and ``Product(a, b)``, or ``Omega()`` and ``Zeta()``.
+    a base class may supply, in ``__slots__``.  node writes what a frozen
+    dataclass on those slots would have, without loading ``dataclasses``:
+    ``__eq__``, ``__repr__``, ``__match_args__``, a ``__setattr__`` that
+    raises ``FrozenInstanceError``, and an ``__init__`` that stores the
+    fields, runs the class's own ``__post_init__``, if any, then stores
+    the hash of the class name and the field values, which ``__hash__``
+    returns.  A class without fields keeps its one hash value on the
+    class instead.  The class name tells apart nodes with equal fields,
+    such as ``Sum(a, b)`` and ``Product(a, b)``, or ``Omega()`` and ``Zeta()``.
     """
     names = tuple(cls.__dict__.get("__annotations__", ()))
-    tag = cls.__qualname__
+    tag, own = cls.__qualname__, cls.__dict__.get("__post_init__")
+    mine, theirs = ("".join(f"{who}.{n}, " for n in names) for who in ("self", "other"))
+    same = f"({mine}) == ({theirs})" if names else "True"
+    # Generated, as dataclass does: fields in locals beat a loop over names.
+    source = (f"def __eq__(self, other):\n    return {same} "
+              "if other.__class__ is self.__class__ else NotImplemented\n")
     if names:
-        own = cls.__dict__.get("__post_init__")
-        values = attrgetter(*names)
-        store = object.__setattr__
-
-        def __post_init__(self) -> None:
-            if own is not None:
-                own(self)
-            store(self, "_hash", hash((tag, values(self))))
-
-        cls.__post_init__ = __post_init__
+        key = ", ".join(f"self.{n}" if own else n for n in names)  # one field is hashed bare
+        source += (f"def __init__(self, {', '.join(names)}):\n"
+                   + "".join(f"    store(self, {n!r}, {n})\n" for n in names)
+                   + ("    own(self)\n" if own else "")
+                   + f"    store(self, '_hash', hash((tag, ({key}))))\n")
     else:
         cls._hash = hash((tag,))
-    cls = dataclass(frozen=True)(cls)
-    cls.__hash__ = _stored_hash
-    cls.__reduce__ = _reduce
+    scope = {"store": object.__setattr__, "own": own, "tag": tag, "__init__": object.__init__}
+    exec(source, scope)
+    cls.__init__, cls.__eq__ = scope["__init__"], scope["__eq__"]
+    cls.__repr__ = lambda self: f"{tag}({', '.join(f'{n}={getattr(self, n)!r}' for n in names)})"
+    cls.__match_args__, cls.__hash__, cls.__reduce__ = names, _stored_hash, _reduce
+    cls.__setattr__ = cls.__delattr__ = _frozen
     return cls
 
 

@@ -16,8 +16,6 @@ shuffle Q[1].  Whitespace is insignificant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .terms import (
     Empty,
     Finite,
@@ -30,6 +28,7 @@ from .terms import (
     Single,
     Sum,
     Zeta,
+    node,
     operands,
     validate,
 )
@@ -41,8 +40,10 @@ MAX_NAT = 2**31 - 1
 MAX_DEPTH = 50
 
 
-@dataclass(frozen=True)
+@node
 class SourceSpan:
+    __slots__ = ("start", "end", "_hash")
+
     start: int
     end: int
 

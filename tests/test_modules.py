@@ -3,12 +3,14 @@ import importlib
 import pickle
 import subprocess
 import sys
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import pytest
 
 import ordercalc
-from ordercalc import canon, terms
+from conftest import T
+from ordercalc import canon, classify, profiles, terms, textio
 
 MODULES = sorted(Path(ordercalc.__file__).parent.glob("*.py"))
 
@@ -33,7 +35,10 @@ def _subclasses(cls):
 
 
 NODE_CLASSES = [*_subclasses(terms.OrderTerm), *_subclasses(canon.ScatAtom),
-                canon.Scat, canon.Shuf, canon.CanonicalForm]
+                canon.Scat, canon.Shuf, canon.CanonicalForm,
+                textio.SourceSpan, profiles.StructProfile, classify.Decomposition,
+                classify.NotSelfSimilar, classify.SelfSimilarNotAbsorbing,
+                classify.AbsorptionCase, classify.SelfSimilarity]
 
 
 @pytest.mark.parametrize("cls", NODE_CLASSES, ids=lambda c: c.__name__)
@@ -43,6 +48,43 @@ def test_node_classes_are_slotted_and_use_the_stored_hash(cls):
     # hash, which recomputes the hash of the whole tree on every call.
     assert all("__slots__" in vars(k) for k in cls.__mro__[:-1])
     assert cls.__hash__ is terms._stored_hash
+
+
+_Q_Z = ("Decomposition(left=CanonicalForm(components=()), blocks=(CanonicalForm(components="
+        "(Scat(atoms=(Zat(),)),)),), right=CanonicalForm(components=()))")
+
+
+def test_records_are_frozen_nodes_with_the_dataclass_repr():
+    # The records are nodes too: the repr a frozen dataclass printed, no
+    # field may be deleted, and a pickle comes back equal with its hash.
+    with pytest.raises(ordercalc.ParseError) as error:
+        ordercalc.parse("N + ")
+    records = [
+        (error.value.span, "SourceSpan(start=4, end=4)"),
+        (ordercalc.profile(T("Q + 1")),
+         "StructProfile(is_empty=False, size=None, has_left_endpoint=False, "
+         "has_right_endpoint=True, succ_pair_free=True, succ_complete=False, "
+         "pred_complete=False, dense_class=<DenseClass.Q_ONE: 'QOne'>)"),
+        (ordercalc.decompose(T("Q[Z]")), _Q_Z),
+        (ordercalc.classify_absorption(T("N")),
+         "NotSelfSimilar(reason='canonical form is not scattered + shuffle + scattered')"),
+        (ordercalc.classify_absorption(T("N + Q[Z]")),
+         "SelfSimilarNotAbsorbing(reason='left part is not a block', decomposition="
+         "Decomposition(left=CanonicalForm(components=(Scat(atoms=(W(),)),)), blocks="
+         "(CanonicalForm(components=(Scat(atoms=(Zat(),)),)),), right=CanonicalForm(components=())))"),
+        (ordercalc.classify_absorption(T("Q[Z]")), f"AbsorptionCase(case=1, decomposition={_Q_Z})"),
+        (ordercalc.is_self_similar(T("N")),
+         "SelfSimilarity(holds=False, decomposition=None, "
+         "reason='canonical form is not scattered + shuffle + scattered')"),
+    ]
+    assert [type(r) for r, _ in records] == NODE_CLASSES[-7:]  # one of each record class
+    for record, text in records:
+        assert repr(record) == text
+        with pytest.raises(FrozenInstanceError):
+            delattr(record, record.__match_args__[0])
+    for record, _ in records[1], records[5]:
+        copy = pickle.loads(pickle.dumps(record))
+        assert copy == record and hash(copy) == hash(record)
 
 
 def test_the_module_level_caches_are_the_four_known_ones():
@@ -118,7 +160,8 @@ def test_an_unknown_name_raises_attribute_error():
 # --- what a fresh process imports -------------------------------------------------
 
 # Run in a child: the CLI as `python -m ordercalc.cli` runs it, then the
-# ordercalc submodules and json, if the run imported them, one per line.
+# ordercalc submodules, json, dataclasses and inspect, if the run imported
+# them, one per line.
 _CHILD = """
 import runpy, sys
 before = set(sys.modules)
@@ -130,7 +173,8 @@ if sys.argv[1:]:
 else:
     import ordercalc
 new = set(sys.modules) - before
-print("#", *sorted(m for m in new if m.startswith("ordercalc.") or m == "json"))
+print("#", *sorted(m for m in new
+                  if m.startswith("ordercalc.") or m in ("json", "dataclasses", "inspect")))
 """
 
 
@@ -144,6 +188,8 @@ def _imported(*argv: str) -> set[str]:
 
 
 BASE = {"terms", "textio"}
+# Only the oracle's records are still dataclasses.
+ORACLE = BASE | {"oracle", "profiles", "dataclasses", "inspect"}
 
 
 @pytest.mark.parametrize("argv, modules", [
@@ -151,8 +197,8 @@ BASE = {"terms", "textio"}
     (("parse", "N"), BASE),
     (("norm", "N + 1"), BASE | {"canon"}),
     (("dot", "Q[Z]"), BASE | {"canon"}),
-    *(((cmd, "Q[Z]"), BASE | {"oracle", "profiles"}) for cmd in ("enum", "check")),
-    (("bnf", "Q", "Q"), BASE | {"oracle", "profiles"}),
+    *(((cmd, "Q[Z]"), ORACLE) for cmd in ("enum", "check")),
+    (("bnf", "Q", "Q"), ORACLE),
     *(((cmd, "N + Q[Z]"), BASE | {"canon", "classify", "profiles"})
       for cmd in ("classify", "spectrum", "square", "square2", "selfsim")),
     (("absorbs", "2", "Q[Z]"), BASE | {"canon", "classify", "profiles"}),
@@ -161,5 +207,5 @@ BASE = {"terms", "textio"}
 def test_a_fresh_process_imports_only_what_its_command_runs(argv, modules):
     # `import ordercalc` loads no submodule; a subcommand loads the module
     # its command-table row names, and what that module imports; json
-    # only under --json.
+    # only under --json; dataclasses only with the oracle.
     assert _imported(*argv) == modules

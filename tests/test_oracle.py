@@ -295,7 +295,7 @@ def test_cross_check_reports_a_wrong_profile(monkeypatch, src, wrong, text):
     top = desugar(T(src))
     right = oracle.profile
     monkeypatch.setattr(oracle, "profile",
-                        lambda u: dataclasses.replace(right(u), **wrong) if u == top else right(u))
+                        lambda u: type(p := right(u))(**{n: wrong.get(n, getattr(p, n)) for n in p.__match_args__}) if u == top else right(u))
     assert cross_check(T(src), 12).to_text() == text
 
 

@@ -60,7 +60,7 @@ BUDGET_CALLS = 200_000
 
 def _ask(text: str, line: dict) -> None:
     x = desugar(parse(text))
-    line["profile"] = [getattr(v, "value", v) for v in vars(profile(x)).values()]
+    line["profile"] = [getattr(v, "value", v) for p in [profile(x)] for v in map(p.__getattribute__, p.__match_args__)]
     line["norm"] = print_term(cf_to_term(canonicalize(x)))
     c = classify_absorption(x)
     line["class"] = f"case {c.case}" if hasattr(c, "case") else type(c).__name__
