@@ -14,7 +14,7 @@ from importlib import import_module as _import_module
 _EXPORTS = {
     "canon": ("CanonicalForm", "Equality", "Fin", "Pow", "Scat", "Shuf", "W", "Wstar", "Zat",
               "canonicalize", "cf_equal", "cf_to_term", "is_final_segment",
-              "is_initial_segment", "reverse_form", "scat_normalize", "to_dot"),
+              "is_initial_segment", "reverse_form", "to_dot"),
     "classify": ("AbsorptionCase", "Decomposition", "NotSelfSimilar",
                  "SelfSimilarNotAbsorbing", "Spectrum", "absorbs", "classify_absorption",
                  "decompose", "is_self_similar", "is_square", "spectrum_description",

@@ -134,26 +134,6 @@ def _pow_atoms(kind: str, body: tuple[ScatAtom, ...]) -> tuple[ScatAtom, ...]:
     return _concat_atoms(prefix, (Pow("N", body),))
 
 
-def _contains_shuffle(t: OrderTerm) -> bool:
-    todo = [t]
-    while todo:
-        match todo.pop():
-            case Shuffle():
-                return True
-            case Sum(a, b) | Product(a, b):
-                todo += (a, b)
-    return False
-
-
-def scat_normalize(t: OrderTerm) -> tuple[ScatAtom, ...] | None:
-    """Normal form of a scattered term; None if any shuffle occurs in t."""
-    t = desugar(t)
-    if _contains_shuffle(t):
-        return None
-    cf = _canon(t)
-    return cf.components[0].atoms if cf.components else ()
-
-
 def _atom_reverse(a: ScatAtom) -> ScatAtom:
     match a:
         case Fin() | Zat():

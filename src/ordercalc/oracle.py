@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 from .profiles import profile
 from .terms import (
@@ -43,8 +43,7 @@ class InvalidCodeError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class PointFacts:
+class PointFacts(NamedTuple):
     is_min: bool
     is_max: bool
     has_successor: bool
@@ -347,13 +346,11 @@ def enumerate_points(t: OrderTerm, n: int) -> list[PointCode]:
 # back-and-forth
 
 
-@dataclass(frozen=True)
-class PartialIso:
+class PartialIso(NamedTuple):
     pairs: tuple[tuple[PointCode, PointCode], ...]
 
 
-@dataclass(frozen=True)
-class MatchFailure:
+class MatchFailure(NamedTuple):
     round: int
     reason: str
 
@@ -494,15 +491,13 @@ def _colored(x: OrderTerm, y: OrderTerm, rounds: int,
 # cross-checking symbolic claims against sampled points
 
 
-@dataclass(frozen=True)
-class Outcome:
+class Outcome(NamedTuple):
     predicate: str
     status: str  # consistent | counterexample | witness_found | witness_not_found
     witness: str | None = None
 
 
-@dataclass
-class CheckReport:
+class CheckReport(NamedTuple):
     term: str
     budget: int
     outcomes: tuple[Outcome, ...]

@@ -171,6 +171,21 @@ class Reverse(OrderTerm):
     body: OrderTerm
 
 
+def _reverse_eq(self, other):
+    # A run of ~ is as deep as it is long, and the generated __eq__ would
+    # recurse once per ~: unwind both runs with a loop instead.
+    if other.__class__ is not Reverse:
+        return NotImplemented
+    while self._hash == other._hash:
+        self, other = self.body, other.body
+        if self.__class__ is not Reverse or other.__class__ is not Reverse:
+            return self == other
+    return False
+
+
+Reverse.__eq__ = _reverse_eq
+
+
 # The binary nodes whose chains are spines, and how to split each one.
 _SPINES = {Sum: attrgetter("left", "right"), Product: attrgetter("index", "fiber")}
 

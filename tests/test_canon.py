@@ -38,7 +38,6 @@ from ordercalc import (
     print_term,
     profile,
     reverse_form,
-    scat_normalize,
 )
 from ordercalc import canon, terms
 from ordercalc.canon import _try_flatten
@@ -52,15 +51,11 @@ def norm(s: str) -> str:
 
 
 def test_scat_reverse_plus_finite_plus_omega_is_zeta():
-    assert scat_normalize(T("N~ + 3 + N")) == (Zat(),)
+    assert canonicalize(T("N~ + 3 + N")).components == (Scat((Zat(),)),)
 
 
 def test_scat_one_plus_omega():
-    assert scat_normalize(T("1 + N")) == (W(),)
-
-
-def test_scat_rejects_shuffles():
-    assert scat_normalize(T("Q[Z]")) is None
+    assert canonicalize(T("1 + N")).components == (Scat((W(),)),)
 
 
 def test_scat_of_a_flat_sum_of_3000_terms():
@@ -69,40 +64,41 @@ def test_scat_of_a_flat_sum_of_3000_terms():
     import ordercalc
 
     env = dict(os.environ, PYTHONPATH=str(Path(ordercalc.__file__).parents[1]))
-    code = ("from ordercalc import parse, scat_normalize; "
-            "print(scat_normalize(parse(' + '.join(['1'] * 3000))))")
+    code = ("from ordercalc import canonicalize, parse; "
+            "print(canonicalize(parse(' + '.join(['1'] * 3000))).components)")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60)
-    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "(Fin(n=3000),)\n")
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "(Scat(atoms=(Fin(n=3000),)),)\n")
 
 
 def test_scat_products():
-    assert scat_normalize(T("N*3")) == (W(),)
-    assert scat_normalize(T("N~*3")) == (Wstar(),)
-    assert scat_normalize(T("Z*2")) == (Zat(),)
-    assert scat_normalize(T("Z*1")) == (Zat(),)
-    assert scat_normalize(T("2*Z")) == (Zat(), Zat())
-    assert scat_normalize(T("(1+1)*Z")) == (Zat(), Zat())
+    assert canonicalize(T("N*3")).components == (Scat((W(),)),)
+    assert canonicalize(T("N~*3")).components == (Scat((Wstar(),)),)
+    assert canonicalize(T("Z*2")).components == (Scat((Zat(),)),)
+    assert canonicalize(T("Z*1")).components == (Scat((Zat(),)),)
+    assert canonicalize(T("2*Z")).components == (Scat((Zat(), Zat())),)
+    assert canonicalize(T("(1+1)*Z")).components == (Scat((Zat(), Zat())),)
 
 
 def test_scat_finite_repetition_merges_junctions():
     # n copies of a scattered body meet at n - 1 junctions, each
     # rewritten like any sum: 1 + N is N, N + 1 stays, N~ + 1 + N is Z.
-    assert scat_normalize(T("5*(1+N)")) == (W(),) * 5
-    assert scat_normalize(T("3*(N+1)")) == (W(), W(), W(), Fin(1))
-    assert scat_normalize(T("3*(N~+1+N)")) == (Zat(),) * 3
-    assert scat_normalize(T("2*(N*(N+N~))")) == (W(), Pow("N", (Zat(),))) * 2
-    assert scat_normalize(T("3*(2+N~+N+1)")) == (
-        Fin(2), Zat(), Fin(3), Zat(), Fin(3), Zat(), Fin(1))
-    assert scat_normalize(T("(2+N)*(N~+1)")) == (Wstar(), Wstar(), Pow("N", (Wstar(),)))
+    assert canonicalize(T("5*(1+N)")).components == (Scat((W(),) * 5),)
+    assert canonicalize(T("3*(N+1)")).components == (Scat((W(), W(), W(), Fin(1))),)
+    assert canonicalize(T("3*(N~+1+N)")).components == (Scat((Zat(),) * 3),)
+    assert canonicalize(T("2*(N*(N+N~))")).components == (Scat((W(), Pow("N", (Zat(),))) * 2),)
+    assert canonicalize(T("3*(2+N~+N+1)")).components == (Scat((
+        Fin(2), Zat(), Fin(3), Zat(), Fin(3), Zat(), Fin(1))),)
+    assert canonicalize(T("(2+N)*(N~+1)")).components == (Scat((
+        Wstar(), Wstar(), Pow("N", (Wstar(),)))),)
 
 
 def test_scat_power_rotation():
     # N*(N + N~) regroups as N + (Z repeated), since inner junctions
     # N~ + N collapse to Z.
-    assert scat_normalize(T("N*(N + N~)")) == (W(), Pow("N", (Zat(),)))
-    assert scat_normalize(T("N~*(N + N~)")) == (Pow("N~", (Zat(),)), Wstar())
-    assert scat_normalize(T("N*(N + 2 + N~)")) == (W(), Pow("N", (Fin(2), Zat())))
+    assert canonicalize(T("N*(N + N~)")).components == (Scat((W(), Pow("N", (Zat(),)))),)
+    assert canonicalize(T("N~*(N + N~)")).components == (Scat((Pow("N~", (Zat(),)), Wstar())),)
+    assert canonicalize(T("N*(N + 2 + N~)")).components == (Scat((W(), Pow("N", (Fin(2), Zat())))),)
 
 
 # --- canonicalization ---

@@ -245,6 +245,19 @@ def test_commands_on_long_product_and_reversal_chains(command, chain, expected):
     assert proc.stdout == expected + "\n"
 
 
+@pytest.mark.parametrize("command, expected", [
+    ("bnf -r 3", "partial isomorphism with 3 pairs"), ("absorbs", "false"),
+])
+def test_commands_on_two_runs_of_3000_tildes(command, expected):
+    # The second run, parsed apart, meets the first in the desugar cache;
+    # == unwinds both runs with a loop.
+    chain = CHAINS["tildes-3000"]
+    proc = subprocess.run([sys.executable, "-m", "ordercalc.cli", *command.split(), chain, chain],
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[-1] == expected
+
+
 COMMANDS = [["parse"], ["norm"], ["classify"], ["absorbs", "2"], ["spectrum"], ["square"],
             ["square2"], ["selfsim"], ["enum"], ["check"], ["bnf"], ["dot"]]
 # Shapes that recurse most per level of nesting among those tried: reversed

@@ -111,14 +111,14 @@ PUBLIC = """
     between canon canonicalize cf_equal cf_to_term classify classify_absorption compare
     cross_check decompose desugar enumerate_points is_final_segment is_initial_segment
     is_self_similar is_square oracle parse point_profile print_term profile profiles
-    reverse_form scat_normalize spectrum_description square_two_endpoints terms textio
+    reverse_form spectrum_description square_two_endpoints terms textio
     to_dot validate
 """.split()
 SUBMODULES = ["canon", "classify", "oracle", "profiles", "terms", "textio"]
 
 
 def test_the_public_names_are_kept():
-    assert ordercalc.__all__ == sorted(PUBLIC) and len(PUBLIC) == 71
+    assert ordercalc.__all__ == sorted(PUBLIC) and len(PUBLIC) == 70
     assert set(SUBMODULES) <= set(PUBLIC)
 
 
@@ -188,8 +188,8 @@ def _imported(*argv: str) -> set[str]:
 
 
 BASE = {"terms", "textio"}
-# Only the oracle's records are still dataclasses.
-ORACLE = BASE | {"oracle", "profiles", "dataclasses", "inspect"}
+# No module imports dataclasses or inspect when it loads.
+ORACLE = BASE | {"oracle", "profiles"}
 
 
 @pytest.mark.parametrize("argv, modules", [
@@ -207,5 +207,5 @@ ORACLE = BASE | {"oracle", "profiles", "dataclasses", "inspect"}
 def test_a_fresh_process_imports_only_what_its_command_runs(argv, modules):
     # `import ordercalc` loads no submodule; a subcommand loads the module
     # its command-table row names, and what that module imports; json
-    # only under --json; dataclasses only with the oracle.
+    # only under --json; dataclasses and inspect never.
     assert _imported(*argv) == modules

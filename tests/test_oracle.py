@@ -1,6 +1,6 @@
-import dataclasses
 import hashlib
 import itertools
+import pickle
 import random
 from functools import cmp_to_key
 
@@ -303,7 +303,7 @@ def test_cross_check_reports_a_misplaced_endpoint(monkeypatch):
     # Point 1 of 3 claims to be both endpoints.
     right = oracle._facts
     monkeypatch.setattr(oracle, "_facts", lambda t, c: (
-        dataclasses.replace(right(t, c), is_min=True, is_max=True) if c == 1 else right(t, c)))
+        right(t, c)._replace(is_min=True, is_max=True) if c == 1 else right(t, c)))
     assert cross_check(T("3"), 12).to_text() == (
         "check 3 budget=12 points=3\n"
         "  left_endpoint: witness_found 0\n"
@@ -315,6 +315,36 @@ def test_cross_check_reports_a_misplaced_endpoint(monkeypatch):
         "  predecessor_complete: consistent\n"
         "  size: consistent\n"
         "result: FAILED\n")
+
+
+def _outcome(predicate, status, witness=None):
+    return f"Outcome(predicate={predicate!r}, status={status!r}, witness={witness!r})"
+
+
+def test_oracle_records_keep_their_repr_pickle_and_are_read_only():
+    # The reprs a dataclass printed; a pickle comes back equal; no field
+    # may be assigned.
+    records = [
+        (point_profile(T("1"), 0),
+         "PointFacts(is_min=True, is_max=True, has_successor=False, has_predecessor=False)"),
+        (back_and_forth(T("2"), T("2"), 6), "PartialIso(pairs=((0, 0), (1, 1)))"),
+        (back_and_forth(T("2"), T("3"), 6),
+         "MatchFailure(round=3, reason='no order-consistent image exists')"),
+        (cross_check(T("1"), 1),
+         "CheckReport(term='1', budget=1, outcomes=("
+         + ", ".join([_outcome("left_endpoint", "witness_found", "0"),
+                      _outcome("right_endpoint", "witness_found", "0"),
+                      *(_outcome(p, "consistent") for p in (
+                          "successor_pairs", "density_between", "successor_complete",
+                          "predecessor_complete", "size"))])
+         + "), failed=False, points_sampled=1)"),
+    ]
+    for record, text in records:
+        assert repr(record) == text
+        assert pickle.loads(pickle.dumps(record)) == record
+        field = record.__match_args__[0]
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
 
 
 # --- randomized properties ---

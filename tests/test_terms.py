@@ -322,6 +322,13 @@ def test_long_reversed_sums_and_reversal_chains_desugar_without_recursion():
     assert desugar(_reversed(t, 5000)) is t  # nothing left to eliminate
 
 
+def test_runs_of_tildes_built_apart_compare_without_recursion():
+    run = "N" + "~" * 3000
+    assert T(run) == T(run)
+    assert T(run) != T(run + "~")
+    assert T("(N + 1)~~") == T("(N + 1)~~") != T("(1 + N)~~")
+
+
 def test_validate_reports_the_first_bad_summand():
     t = Sum(Sum(Finite(1), Shuffle(())), Finite(0))
     with pytest.raises(ValidationError) as exc:
