@@ -14,7 +14,7 @@ wrong verdict.  Segment queries refuse such forms.
 from __future__ import annotations
 
 from enum import Enum
-from functools import cache, reduce
+from functools import cache
 
 from .terms import (
     Empty,
@@ -31,9 +31,8 @@ from .terms import (
     UnsupportedError,
     Zeta,
     desugar,
-    leaves,
+    join,
     node,
-    operands,
 )
 from .textio import print_term
 
@@ -375,14 +374,14 @@ def _canon(t: OrderTerm) -> CanonicalForm:
             return CanonicalForm((Scat((Fin(n),)),))
         case Omega() | OmegaStar() | Zeta():
             return CanonicalForm((Scat((_KAPPA[t][1],)),))
-        case Sum():
-            return CanonicalForm(concat_components(*(_canon(p).components for p in leaves(t))))
+        case Sum(parts):
+            return CanonicalForm(concat_components(*(_canon(p).components for p in parts)))
         case Shuffle(blocks):
             return CanonicalForm((_canon_shuffle([_canon(b) for b in blocks]),))
-        case Product():
+        case Product(parts):
             # x1*...*xk*y is canonicalized as x1*(...*(xk*y)) from the
             # inside out, so each step finds its fiber's form in the cache.
-            x, *xs, y = operands(t)
+            x, *xs, y = parts
             for i in reversed(xs):
                 y = Product(i, y)
                 _canon(y)
@@ -396,9 +395,9 @@ def _canon_product(x: OrderTerm, y: OrderTerm) -> CanonicalForm:
             return _canon(y)
         case Finite(n):
             return _repeat_form(_canon(y), n)
-        case Sum():
+        case Sum(parts):
             return CanonicalForm(
-                concat_components(*(_canon(Product(a, y)).components for a in leaves(x)))
+                concat_components(*(_canon(Product(a, y)).components for a in parts))
             )
         case Shuffle(blocks):
             return _canon(Shuffle(tuple(Product(i, y) for i in blocks)))
@@ -457,7 +456,7 @@ def _atom_term(a: ScatAtom) -> OrderTerm:
 
 
 def _atoms_term(atoms: tuple[ScatAtom, ...]) -> OrderTerm:
-    return reduce(Sum, map(_atom_term, atoms))
+    return join(Sum, [*map(_atom_term, atoms)])
 
 
 def cf_to_term(cf: CanonicalForm) -> OrderTerm:
@@ -468,7 +467,7 @@ def cf_to_term(cf: CanonicalForm) -> OrderTerm:
             parts.append(_atoms_term(comp.atoms))
         else:
             parts.append(Shuffle(tuple(cf_to_term(b) for b in comp.blocks)))
-    return reduce(Sum, parts) if parts else Empty()
+    return join(Sum, parts)
 
 
 def to_dot(cf: CanonicalForm) -> str:

@@ -1,12 +1,13 @@
 """Lazy concrete realizations of terms, with decidable point queries.
 
-Every term is realized as a countable order whose points carry
-hereditary codes: integers for the atoms, pairs for sums and products,
-and (position, inner) pairs for shuffles, where positions are nodes of
-the infinite binary tree in infix order and the block replacing a
-position is chosen by its depth modulo the number of blocks.  Each
-depth class is dense in the tree order, so this is a fixed concrete
-realization of the dense partition.
+Every term is realized as a countable order whose points carry flat
+codes: integers for the atoms, ``(i, c)`` for point c of summand i,
+``(c1, ..., ck)`` for a product of k factors, and ``(position, c)`` for
+point c of a shuffle's copy at a node of the infinite binary tree in
+infix order, whose block is chosen by its depth modulo the number of
+blocks.  Each depth class is dense in the tree order, so this is a fixed
+concrete realization of the dense partition.  Every walk over codes
+recurses once per bracket level, not once per part.
 
 Comparison, neighbourhood facts, betweenness, fair enumeration, the
 back-and-forth construction, and a consistency checker against the
@@ -50,50 +51,36 @@ class PointFacts(NamedTuple):
     has_predecessor: bool
 
 
-class _Tree:
-    """The index of a shuffle's copies: the nodes of the infinite binary
-    tree, coded as strings over L and R and ordered in infix order."""
-
-    __slots__ = ()
+_OMEGA = Omega()
 
 
-_TREE, _TWO, _OMEGA = _Tree(), Finite(2), Omega()
-
-
-def _index(t: OrderTerm):
-    # The order of the copies of a sum, product or shuffle.
-    return _TWO if isinstance(t, Sum) else _TREE if isinstance(t, Shuffle) else t.index
-
-
-def _fiber(t: OrderTerm, i) -> OrderTerm:
-    # Copy i of a sum, product or shuffle.
-    if isinstance(t, Product):
-        return t.fiber
-    if isinstance(t, Sum):
-        return t.right if i else t.left
-    return t.blocks[len(i) % len(t.blocks)]
+def _copy(t: Sum | Shuffle, i) -> OrderTerm:
+    # Summand i of a sum, or the block of a shuffle's copy at position i.
+    return t.parts[i] if isinstance(t, Sum) else t.blocks[len(i) % len(t.blocks)]
 
 
 def _check(t: OrderTerm, c: PointCode) -> None:
     match t:
         case Single():
-            ok = isinstance(c, int) and c == 0
+            ok = type(c) is int and c == 0
         case Finite(n):
-            ok = isinstance(c, int) and 0 <= c < n
+            ok = type(c) is int and 0 <= c < n
         case Omega() | OmegaStar():
-            ok = isinstance(c, int) and c >= 0
+            ok = type(c) is int and c >= 0
         case Zeta():
-            ok = isinstance(c, int)
-        case _Tree():
-            if not (isinstance(c, str) and all(ch in "LR" for ch in c)):
-                raise InvalidCodeError(f"bad tree position {c!r}")
-            return
-        case Sum() | Product() | Shuffle():
-            # An (index, code in that copy) pair.
-            ok = isinstance(c, tuple) and len(c) == 2
+            ok = type(c) is int
+        case Sum(parts) | Shuffle(parts):
+            # A summand number or a tree position, and a code in that copy.
+            ok = isinstance(c, tuple) and len(c) == 2 and (
+                type(c[0]) is int and 0 <= c[0] < len(parts) if isinstance(t, Sum)
+                else isinstance(c[0], str) and all(ch in "LR" for ch in c[0]))
             if ok:
-                _check(_index(t), c[0])
-                _check(_fiber(t, c[0]), c[1])
+                _check(_copy(t, c[0]), c[1])
+        case Product(parts):
+            ok = isinstance(c, tuple) and len(c) == len(parts)
+            if ok:
+                for p, ci in zip(parts, c):
+                    _check(p, ci)
         case _:
             raise InvalidCodeError("the empty order has no points")
     if not ok:
@@ -117,10 +104,10 @@ def _key(t: OrderTerm, c: PointCode):
             return c
         case OmegaStar():
             return -c
-        case Sum(left, right):
-            return (c[0], _key(right if c[0] else left, c[1]))
-        case Product(x, y):
-            return (_key(x, c[0]), _key(y, c[1]))
+        case Sum(parts):
+            return (c[0], _key(parts[c[0]], c[1]))
+        case Product(parts):
+            return tuple(map(_key, parts, c))
         case Shuffle(blocks):
             return (_pos_key(c[0]), _key(blocks[len(c[0]) % len(blocks)], c[1]))
     raise AssertionError
@@ -147,32 +134,36 @@ def _facts(t: OrderTerm, c: PointCode) -> PointFacts:
             return PointFacts(False, c == 0, c > 0, True)
         case Zeta():
             return PointFacts(False, False, True, True)
-        case Sum(left, right):
-            side, inner = c
-            first = side == 0
-            f = _facts(left if first else right, inner)
-            # The point at the junction end of its side has a neighbour
-            # across the junction when the other side has an endpoint there.
-            across = (f.is_max and profile(right).has_left_endpoint if first
-                      else f.is_min and profile(left).has_right_endpoint)
-            return PointFacts(first and f.is_min, not first and f.is_max,
-                              f.has_successor or (first and across),
-                              f.has_predecessor or (not first and across))
-        case Product(x, y):
-            cx, cy = c
-            fx, fy = _facts(x, cx), _facts(y, cy)
-            py = profile(y)
+        case Sum(parts):
+            i, inner = c
+            last = len(parts) - 1
+            f = _facts(parts[i], inner)
+            # The point at an end of its summand has a neighbour across
+            # the junction there when the next summand has an endpoint.
             return PointFacts(
-                fx.is_min and fy.is_min,
-                fx.is_max and fy.is_max,
-                fy.has_successor
-                or (fy.is_max and fx.has_successor and py.has_left_endpoint),
-                fy.has_predecessor
-                or (fy.is_min and fx.has_predecessor and py.has_right_endpoint),
+                i == 0 and f.is_min,
+                i == last and f.is_max,
+                f.has_successor
+                or (f.is_max and i < last and profile(parts[i + 1]).has_left_endpoint),
+                f.has_predecessor
+                or (f.is_min and i > 0 and profile(parts[i - 1]).has_right_endpoint),
             )
+        case Product(parts):
+            # Fold the factors in from the left: (f*g)*...
+            f = _facts(parts[0], c[0])
+            for p, ci in zip(parts[1:], c[1:]):
+                g, q = _facts(p, ci), profile(p)
+                f = PointFacts(
+                    f.is_min and g.is_min,
+                    f.is_max and g.is_max,
+                    g.has_successor
+                    or (g.is_max and f.has_successor and q.has_left_endpoint),
+                    g.has_predecessor
+                    or (g.is_min and f.has_predecessor and q.has_right_endpoint),
+                )
+            return f
         case Shuffle(blocks):
-            pos, inner = c
-            f = _facts(blocks[len(pos) % len(blocks)], inner)
+            f = _facts(blocks[len(c[0]) % len(blocks)], c[1])
             # The positions around any copy are dense, so neighbours
             # exist only inside the copy.
             return PointFacts(False, False, f.has_successor, f.has_predecessor)
@@ -186,8 +177,12 @@ def point_profile(t: OrderTerm, c: PointCode) -> PointFacts:
     return _facts(t, c)
 
 
-def _pos_between(lo: str, hi: str) -> str:
-    # Shortest tree node strictly between lo and hi in infix order.
+def _pos_between(lo: str | None, hi: str | None) -> str:
+    # A tree node strictly between lo and hi in infix order (None: open).
+    if lo is None:
+        return "" if hi is None else hi + "L"
+    if hi is None:
+        return lo + "R"
     m = ""
     lo_key, hi_key = _pos_key(lo), _pos_key(hi)
     while True:
@@ -202,14 +197,7 @@ def _pos_between(lo: str, hi: str) -> str:
 def _image(t: OrderTerm, lo: PointCode | None, hi: PointCode | None) -> PointCode | None:
     # Some point of t strictly between lo and hi, where None leaves that
     # side open; None when there is no such point.  With both sides open
-    # it is the first point that enumerate_points yields.  A sum, product
-    # or shuffle is index-many consecutive copies of its fibers.  Bounds
-    # in one copy are resolved inside it.  Otherwise the walk tries lo's
-    # copy above lo (hi's copy below hi when lo is open), then the first
-    # point of the copy at the index point that the walk picks strictly
-    # between their copies, then hi's copy below hi.  A shuffle whose
-    # bounds lie in different copies goes straight to the shortest tree
-    # position between them.
+    # it is the first point that enumerate_points yields.
     match t:
         case Finite() | Omega() | Zeta():
             # The code just above lo, else just below hi, else 0.  Only Z
@@ -217,53 +205,69 @@ def _image(t: OrderTerm, lo: PointCode | None, hi: PointCode | None) -> PointCod
             r = lo + 1 if lo is not None else 0 if hi is None else hi - 1
             end = hi if hi is not None else t.n if isinstance(t, Finite) else None
             return r if (end is None or r < end) and (r >= 0 or isinstance(t, Zeta)) else None
-        case Sum() | Product() | Shuffle():
-            index = _index(t)
-        case _Tree():
-            if lo is None:
-                return "" if hi is None else hi + "L"
-            return lo + "R" if hi is None else _pos_between(lo, hi)
         case OmegaStar():
             # Code c is the c-th point below the maximum: N read downwards.
             return _image(_OMEGA, hi, lo)
         case Single():
             return 0 if lo is None and hi is None else None
-        case _:  # the empty order
+        case Sum(parts) | Shuffle(parts):
+            i = None if lo is None else lo[0]
+            j = None if hi is None else hi[0]
+            if i is not None and i == j:
+                tries = [(i, lo[1], hi[1])]
+            elif isinstance(t, Shuffle):
+                # The bounded side's copy when the other side is open, then
+                # the copy at the shortest tree position between theirs.
+                one = (lo is None) != (hi is None)
+                tries = [((i, lo[1], None) if hi is None else (j, None, hi[1]))] if one else []
+                tries.append((_pos_between(i, j), None, None))
+            else:
+                # lo's summand above lo, the summand after lo's (summand 0
+                # when lo is open), then hi's below hi; hi's first if lo is open.
+                n = 0 if i is None else i + 1
+                tries = [] if lo is None else [(i, lo[1], None)]
+                if n < (len(parts) if j is None else j):
+                    tries.append((n, None, None))
+                if hi is not None:
+                    tries.insert(0 if lo is None else len(tries), (j, None, hi[1]))
+            for n, a, b in tries:
+                r = _image(_copy(t, n), a, b)
+                if r is not None:
+                    return n, r
             return None
-    i = None if lo is None else lo[0]
-    j = None if hi is None else hi[0]
-    if i is not None and i == j:
-        r = _image(_fiber(t, i), lo[1], hi[1])
-        return None if r is None else (i, r)
-    if lo is None:
-        r = None if hi is None else _image(_fiber(t, j), None, hi[1])
-        if r is not None:
-            return j, r
-    elif hi is None or index is not _TREE:
-        r = _image(_fiber(t, i), lo[1], None)
-        if r is not None:
-            return i, r
-    m = _image(index, i, j)
-    if m is not None:
-        return m, _image(_fiber(t, m), None, None)
-    if lo is not None and hi is not None:
-        r = _image(_fiber(t, j), None, hi[1])
-        return None if r is None else (j, r)
-    return None
+        case Product(parts):
+            # Last factor first, above lo's code down to the first factor
+            # where lo and hi differ, between them there, then below hi's
+            # (last first if lo is open); later factors take their first.
+            k = len(parts)
+            if lo is not None and hi is not None:
+                d = next(n for n in range(k) if lo[n] != hi[n])
+                tries = [(n, lo, lo[n], None) for n in range(k - 1, d, -1)]
+                tries += [(d, lo, lo[d], hi[d]), *((n, hi, None, hi[n]) for n in range(d + 1, k))]
+            elif lo is not None:
+                tries = [(n, lo, lo[n], None) for n in range(k - 1, -1, -1)]
+            elif hi is not None:
+                tries = [(n, hi, None, hi[n]) for n in range(k - 1, -1, -1)]
+            else:
+                tries = [(0, (), None, None)]
+            for n, code, a, b in tries:
+                r = _image(parts[n], a, b)
+                if r is not None:
+                    return (*code[:n], r, *(_image(p, None, None) for p in parts[n + 1:]))
+            return None
+    return None  # the empty order
 
 
 def between(t: OrderTerm, a: PointCode, b: PointCode) -> PointCode | None:
     """A point strictly between a and b, or None when b is the successor of a.
 
     The choice is deterministic.  In an atom it is the code just above
-    a (just below b in N~).  In one copy of a sum, product or shuffle it
-    is the choice within that copy.  Across copies it is the choice
-    above a within a's copy if there is one, else the first enumerated
-    point of the copy at the index point chosen between the two copies,
-    else the choice below b within b's copy; with one side open, the
-    same rule picks a point beyond the other.  In a shuffle, a and b in
-    different copies give the first enumerated point of the copy at the
-    shortest tree position between theirs.
+    a (just below b in N~); in one copy of a sum or shuffle, the choice
+    within it.  Across summands: above a in a's summand, else the first
+    point of the summand after a's, else below b in b's summand.  Across
+    shuffle copies: the first point of the copy at the shortest tree
+    position between theirs.  A product chooses as (p1*p2)*p3 does, as
+    p1*p2-many copies of p3.
     """
     t = desugar(t)
     _check(t, a)
@@ -282,6 +286,25 @@ def _strings(length: int):
         yield "".join(tup)
 
 
+def _split(table: list, p: OrderTerm, w: int) -> list:
+    # Pairs (a, c) of weight w, a of weight v in table[v] and c a code of
+    # p, least v first: the left-nested product's order, one factor on.
+    out = []
+    for v in range(w + 1):
+        if table[v]:
+            out.extend((a, c) for a in table[v] for c in _codes_of_weight(p, w - v))
+    return out
+
+
+def _unnest(code, k: int) -> tuple:
+    # ((c1, c2), ..., ck) -> (c1, ..., ck)
+    tail = []
+    for _ in range(k - 2):
+        code, c = code
+        tail.append(c)
+    return (*code, *reversed(tail))
+
+
 @cache
 def _codes_of_weight(t: OrderTerm, w: int) -> tuple:
     match t:
@@ -293,20 +316,19 @@ def _codes_of_weight(t: OrderTerm, w: int) -> tuple:
             return (w,)
         case Zeta():
             return (0,) if w == 0 else (-w, w)
-        case Sum(a, b):
-            out = [(0, c) for c in _codes_of_weight(a, w)]
+        case Sum(parts):
+            # Summand 0 costs nothing, every later summand costs 1.
+            out = [(0, c) for c in _codes_of_weight(parts[0], w)]
             if w >= 1:
-                out.extend((1, c) for c in _codes_of_weight(b, w - 1))
+                for i, p in enumerate(parts[1:], 1):
+                    out.extend((i, c) for c in _codes_of_weight(p, w - 1))
             return tuple(out)
-        case Product(x, y):
-            out = []
-            for wx in range(w + 1):
-                xs = _codes_of_weight(x, wx)
-                if not xs:
-                    continue
-                ys = _codes_of_weight(y, w - wx)
-                out.extend((cx, cy) for cx in xs for cy in ys)
-            return tuple(out)
+        case Product(parts):
+            table = [_codes_of_weight(parts[0], v) for v in range(w + 1)]
+            for p in parts[1:-1]:
+                table = [_split(table, p, v) for v in range(w + 1)]
+            codes, k = _split(table, parts[-1], w), len(parts)
+            return tuple(codes if k == 2 else (_unnest(c, k) for c in codes))
         case Shuffle(blocks):
             k = len(blocks)
             out = []
@@ -332,10 +354,11 @@ def _enum_iter(t: OrderTerm):
 
 
 def enumerate_points(t: OrderTerm, n: int) -> list[PointCode]:
-    """First n codes in weight order (value for naturals, |k| with the
-    negative first for integers, length then L<R for positions, summed
-    left-to-right for composites).  Prefix-stable in n; returns fewer
-    than n codes only for finite orders with fewer points."""
+    """First n codes in weight order: value for naturals, |k| with the
+    negative first for integers, length then L<R for positions.  Summand
+    0 of a sum adds no weight and each later one 1, and a product splits
+    its weight as ((p1*p2)*p3)*... does.  Prefix-stable in n; returns
+    fewer than n codes only for finite orders with fewer points."""
     t = desugar(t)
     if t == Empty():
         return []
@@ -479,7 +502,7 @@ def _colored(x: OrderTerm, y: OrderTerm, rounds: int,
             i, _ = copies.place(side, key, pos,
                                 lambda lo, hi: _pos_find(lo, hi, residue, k_tgt), _pos_key)
             inside.insert(i, _Pairs())
-        blocks = (_fiber(x, copies.codes[0][i]), _fiber(y, copies.codes[1][i]))
+        blocks = (_copy(x, copies.codes[0][i]), _copy(y, copies.codes[1][i]))
         j = inside[i].place_point(blocks, side, inner)
         return None if j is None else (copies.codes[1 - side][i], j)
 

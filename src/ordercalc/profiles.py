@@ -22,7 +22,6 @@ from .terms import (
     Sum,
     Zeta,
     desugar,
-    leaves,
     node,
 )
 
@@ -59,15 +58,15 @@ class StructProfile:
     dense_class: DenseClass | None
 
 
+# The dense class of each endpoint shape: (has left, has right) endpoint.
+_DENSE = {(False, False): DenseClass.Q, (True, False): DenseClass.ONE_Q,
+          (False, True): DenseClass.Q_ONE, (True, True): DenseClass.ONE_Q_ONE}
+
+
 def _mk(is_empty, size, hl, hr, spf, sc, pc) -> StructProfile:
     dense = None
     if not is_empty and spf and (size is None or size >= 2):
-        dense = {
-            (False, False): DenseClass.Q,
-            (True, False): DenseClass.ONE_Q,
-            (False, True): DenseClass.Q_ONE,
-            (True, True): DenseClass.ONE_Q_ONE,
-        }[(hl, hr)]
+        dense = _DENSE[(hl, hr)]
     return StructProfile(is_empty, size, hl, hr, spf, sc, pc, dense)
 
 
@@ -136,10 +135,9 @@ def _profile(t: OrderTerm) -> StructProfile:
             return _mk(False, None, False, True, False, True, True)
         case Zeta():
             return _mk(False, None, False, False, False, True, True)
-        case Sum() | Product():
-            # Both rules are associative: fold over the leaves however they nest.
+        case Sum(parts) | Product(parts):
             rule = _sum_profile if isinstance(t, Sum) else _product_profile
-            return reduce(rule, map(_profile, leaves(t)))
+            return reduce(rule, map(_profile, parts))
         case Shuffle(blocks):
             ps = [_profile(b) for b in blocks]
             return _mk(

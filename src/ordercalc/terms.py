@@ -14,8 +14,7 @@ constant time and never recurses, however deep the term.
 
 from __future__ import annotations
 
-from functools import cache, reduce
-from operator import attrgetter
+from functools import cache
 
 
 def _stored_hash(self) -> int:
@@ -124,26 +123,47 @@ class Zeta(OrderTerm):
 
 @node
 class Sum(OrderTerm):
-    """left followed by right."""
+    """Its parts in order, each followed by the next: a + b + c is Sum(a, b, c).
 
-    __slots__ = ("left", "right")
+    ``Sum(*parts)`` takes two or more parts and splices a first part that
+    is itself a Sum, never a later one: ``Sum(Sum(a, b), c)`` is
+    ``Sum(a, b, c)``, while ``Sum(a, Sum(b, c))``, which ``a + (b + c)``
+    parses to, keeps its bracket node.
+    """
 
-    left: OrderTerm
-    right: OrderTerm
+    __slots__ = ("parts",)
+
+    parts: tuple[OrderTerm, ...]
 
 
 @node
 class Product(OrderTerm):
-    """index-many consecutive copies of fiber, ordered lexicographically.
-
-    ``Product(A, X)`` is "A copies of X": pairs (a, x) compared by a
-    first, then x.
+    """Lexicographic product: ``Product(A, X)`` is "A copies of X", pairs
+    (a, x) compared by a first, then x.  ``Product(*parts)`` splices as
+    Sum does: p1*p2*p3 is ``Product(p1, p2, p3)``, of triples.
     """
 
-    __slots__ = ("index", "fiber")
+    __slots__ = ("parts",)
 
-    index: OrderTerm
-    fiber: OrderTerm
+    parts: tuple[OrderTerm, ...]
+
+
+def _parts_init(self, *parts):
+    if len(parts) < 2:
+        raise TypeError(f"{type(self).__name__} needs two or more parts, got {len(parts)}")
+    if parts[0].__class__ is self.__class__:
+        parts = parts[0].parts + parts[1:]
+    object.__setattr__(self, "parts", parts)
+    object.__setattr__(self, "_hash", hash((type(self).__qualname__, parts)))
+
+
+Sum.__init__ = Product.__init__ = _parts_init
+Sum.__reduce__ = Product.__reduce__ = lambda self: (type(self), self.parts)
+
+
+def join(op, parts) -> OrderTerm:
+    """op(*parts) for two or more parts, the one part itself, or Empty() for none."""
+    return op(*parts) if len(parts) > 1 else parts[0] if parts else Empty()
 
 
 @node
@@ -186,43 +206,6 @@ def _reverse_eq(self, other):
 Reverse.__eq__ = _reverse_eq
 
 
-# The binary nodes whose chains are spines, and how to split each one.
-_SPINES = {Sum: attrgetter("left", "right"), Product: attrgetter("index", "fiber")}
-
-
-def operands(t: OrderTerm) -> list[OrderTerm]:
-    """The operands of t's left-nested Sum or Product spine, left to right;
-    [t] if t is neither.  A long chain is a deep spine: callers walk its
-    operands with a loop instead of recursing once per operand."""
-    op, parts = type(t), []
-    split = _SPINES.get(op)
-    while split and type(t) is op:
-        t, right = split(t)
-        parts.append(right)
-    parts.append(t)
-    parts.reverse()
-    return parts
-
-
-def leaves(t: OrderTerm) -> list[OrderTerm]:
-    """The operands of t's whole Sum or Product tree, left to right, on
-    whichever side each node nests; [t] if t is neither.
-
-    Both operators are associative, so a caller that needs only the order
-    t denotes may walk these in place of operands.  A reversed sum nests
-    to the right, and this walks it with a loop as well.
-    """
-    op, parts, todo = type(t), [], [t]
-    split = _SPINES.get(op)
-    while todo:
-        u = todo.pop()
-        if split and type(u) is op:
-            todo += reversed(split(u))
-        else:
-            parts.append(u)
-    return parts
-
-
 class ValidationError(ValueError):
     """A term violates a structural invariant.
 
@@ -260,8 +243,8 @@ def validate(t: OrderTerm) -> None:
         case Finite(n):
             if not isinstance(n, int) or n < 2:
                 raise ValidationError("BadFinite", t, f"Finite needs n >= 2, got {n!r}")
-        case Sum() | Product():
-            for part in operands(t):
+        case Sum(parts) | Product(parts):
+            for part in parts:
                 validate(part)
         case Shuffle(blocks):
             if not blocks:
@@ -292,8 +275,8 @@ def desugar(t: OrderTerm) -> OrderTerm:
     todo = [t]  # walked with a loop, so that a deep term costs no recursion
     while todo:
         match todo.pop():
-            case Sum(a, b) | Product(a, b):
-                todo += (a, b)
+            case Sum(parts) | Product(parts):
+                todo += parts
             case Shuffle(blocks):
                 todo += blocks
             case Reverse():
@@ -309,12 +292,11 @@ def desugar(t: OrderTerm) -> OrderTerm:
             while isinstance(t, Reverse):
                 t, odd = t.body, not odd
             return _reverse(desugar(t)) if odd else desugar(t)
-        case Sum() | Product():
-            parts = list(map(desugar, operands(t)))
+        case Sum(parts) | Product(parts):
+            parts = list(map(desugar, parts))
             if isinstance(t, Product) and Empty() in parts:
                 return Empty()  # an empty factor empties the product
-            kept = [p for p in parts if p != Empty()]  # an empty summand drops out
-            return reduce(type(t), kept) if kept else Empty()
+            return join(type(t), [p for p in parts if p != Empty()])  # an empty summand drops out
         case Shuffle(blocks):
             kept = tuple(b for b in map(desugar, blocks) if b != Empty())
             return Shuffle(kept) if kept else Empty()
@@ -322,26 +304,19 @@ def desugar(t: OrderTerm) -> OrderTerm:
 
 def _reverse(t: OrderTerm) -> OrderTerm:
     # t is already desugared; push reversal down to the atoms.  The mirror
-    # of Sum(a, b) is Sum(b~, a~) and that of Product(x, y) is Product(x~, y~);
-    # both are walked with a stack, so a long chain costs no recursion.
-    todo, done = [t], []
-    while todo:
-        match todo.pop():
-            case Sum(a, b) | Product(b, a) as u:
-                # b is mirrored first, then a, then the operator joins the
-                # mirrors in that order: a sum's parts swap, a product's not.
-                todo += (type(u), a, b)
-            case type() as op:
-                ma, mb = done.pop(), done.pop()
-                done.append(op(mb, ma))
-            case Empty() | Single() | Finite() | Zeta() as u:
-                done.append(u)
-            case Omega():
-                done.append(OmegaStar())
-            case OmegaStar():
-                done.append(Omega())
-            case Shuffle(blocks):
-                done.append(Shuffle(tuple(_reverse(b) for b in blocks)))
-            case u:
-                raise AssertionError(f"unreachable: {u!r}")
-    return done.pop()
+    # of Sum(p1, ..., pk) is Sum(pk~, ..., p1~) and that of a product is
+    # the product of the mirrors, in the same order.
+    match t:
+        case Sum(parts):
+            return Sum(*map(_reverse, reversed(parts)))
+        case Product(parts):
+            return Product(*map(_reverse, parts))
+        case Empty() | Single() | Finite() | Zeta():
+            return t
+        case Omega():
+            return OmegaStar()
+        case OmegaStar():
+            return Omega()
+        case Shuffle(blocks):
+            return Shuffle(tuple(map(_reverse, blocks)))
+    raise AssertionError(f"unreachable: {t!r}")

@@ -29,14 +29,15 @@ from .terms import (
     Sum,
     Zeta,
     node,
-    operands,
     validate,
 )
 
 MAX_NAT = 2**31 - 1
-# Deepest nesting of parentheses and shuffle brackets that parse
-# accepts.  The parser and several layers after it recurse once per
-# level; at this depth every command still fits in the recursion limit.
+_NAT_WIDTH = len(str(MAX_NAT))
+# Deepest nesting of parentheses and shuffle brackets that parse accepts.
+# A chain of one operator is one node, so a parsed term is only this deep
+# plus its runs of ~, which are walked with loops.  Every layer recurses
+# once per level; at this depth every command fits in the recursion limit.
 MAX_DEPTH = 50
 
 
@@ -55,6 +56,7 @@ class ParseError(ValueError):
         self.span = span
 
 
+_DIGITS = frozenset("0123456789")  # ASCII only: str.isdigit also takes "²" and "٣"
 _PUNCT = {"+": "PLUS", "*": "STAR", "~": "TILDE", "(": "LPAREN", ")": "RPAREN",
           "[": "LBRACK", "]": "RBRACK", ",": "COMMA"}
 
@@ -71,12 +73,13 @@ def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
             toks.append((_PUNCT[c], c, i, i + 1))
             i += 1
             continue
-        if c.isdigit():
+        if c in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
-            value = int(text[i:j])
-            if value > MAX_NAT:
+            # The length is checked first: int() refuses very long literals.
+            digits = text[i:j].lstrip("0")
+            if len(digits) > _NAT_WIDTH or int(digits or "0") > MAX_NAT:
                 raise ParseError(f"number literal exceeds {MAX_NAT}", SourceSpan(i, j))
             toks.append(("NAT", text[i:j], i, j))
             i = j
@@ -109,18 +112,18 @@ class _Parser:
         return tok
 
     def sum(self) -> OrderTerm:
-        t = self.prod()
+        parts = [self.prod()]
         while self.peek()[0] == "PLUS":
-            self.take("PLUS")
-            t = Sum(t, self.prod())
-        return t
+            self.pos += 1
+            parts.append(self.prod())
+        return Sum(*parts) if len(parts) > 1 else parts[0]
 
     def prod(self) -> OrderTerm:
-        t = self.post()
+        parts = [self.post()]
         while self.peek()[0] == "STAR":
-            self.take("STAR")
-            t = Product(t, self.post())
-        return t
+            self.pos += 1
+            parts.append(self.post())
+        return Product(*parts) if len(parts) > 1 else parts[0]
 
     def post(self) -> OrderTerm:
         t = self.atom()
@@ -142,7 +145,7 @@ class _Parser:
         kind, value, start, end = self.peek()
         if kind == "NAT":
             self.pos += 1
-            n = int(value)
+            n = int(value.lstrip("0") or "0")
             if n == 0:
                 return Empty()
             if n == 1:
@@ -182,7 +185,7 @@ def parse(text: str) -> OrderTerm:
 
 
 _SUM, _PROD, _POST, _ATOM = 0, 1, 2, 3
-# Each spine operator: its text, its precedence, and its later operands' one.
+# Each chain operator: its text, its precedence, and its later parts' one.
 _OPS = {Sum: (" + ", _SUM, _PROD), Product: ("*", _PROD, _POST)}
 
 
@@ -211,9 +214,9 @@ def _pr(t: OrderTerm, need: int) -> str:
             while isinstance(t, Reverse):
                 t, n = t.body, n + 1
             s, prec = _pr(t, _POST) + "~" * n, _POST
-        case Sum() | Product():
+        case Sum(parts) | Product(parts):
             text, prec, later = _OPS[type(t)]
-            first, *rest = operands(t)
+            first, *rest = parts
             s = text.join([_pr(first, prec), *(_pr(r, later) for r in rest)])
         case _:
             raise TypeError(f"not an OrderTerm: {t!r}")
@@ -245,10 +248,10 @@ def ast_repr(t: OrderTerm) -> str:
             return "OmegaStar"
         case Zeta():
             return "Zeta"
-        case Sum() | Product():
-            # Sum(Sum(a, b), c) for a + b + c, built from the spine's parts
-            # without recursing once per operand.
-            first, *rest = operands(t)
+        case Sum(parts) | Product(parts):
+            # a + b + c prints as Sum(Sum(a, b), c): the chain read as
+            # left-nested binary nodes.
+            first, *rest = parts
             tail = "".join(f", {ast_repr(r)})" for r in rest)
             return f"{type(t).__name__}(" * len(rest) + ast_repr(first) + tail
         case Shuffle(blocks):

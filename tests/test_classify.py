@@ -398,3 +398,12 @@ def test_filling_the_slot_leaves_equality_hash_and_repr(src):
     assert "classification" not in repr(fresh)
     with pytest.raises(FrozenInstanceError):
         fresh.classification = None
+
+
+def test_absorbs_of_a_long_sum_twice_in_one_process():
+    # The second sum, parsed apart, meets the first in the desugar cache;
+    # a sum is one node, so == compares its parts without recursing once
+    # per summand.
+    text = " + ".join(["1"] * 3000)
+    assert absorbs(parse("2"), parse(text)) is False
+    assert absorbs(parse("2"), parse(text)) is False

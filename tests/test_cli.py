@@ -135,14 +135,12 @@ BNF_Q_JSON = (
 )
 
 ENUM_JSON = (
-    '{"command": "enum", "input": "N + Q[Z] + N~", "result": {"points": [[0, [0, 0]], '
-    '[0, [0, 1]], [0, [1, ["", 0]]], [1, 0], [0, [0, 2]], [0, [1, ["", -1]]], [0, [1, '
-    '["", 1]]], [0, [1, ["L", 0]]], [0, [1, ["R", 0]]], [1, 1], [0, [0, 3]], [0, [1, '
-    '["", -2]]], [0, [1, ["", 2]]], [0, [1, ["L", -1]]], [0, [1, ["L", 1]]], [0, [1, '
-    '["R", -1]]], [0, [1, ["R", 1]]], [0, [1, ["LL", 0]]], [0, [1, ["LR", 0]]], [0, [1, '
-    '["RL", 0]]], [0, [1, ["RR", 0]]], [1, 2], [0, [0, 4]], [0, [1, ["", -3]]], [0, [1, '
-    '["", 3]]], [0, [1, ["L", -2]]], [0, [1, ["L", 2]]], [0, [1, ["R", -2]]], [0, [1, '
-    '["R", 2]]], [0, [1, ["LL", -1]]]]}}'
+    '{"command": "enum", "input": "N + Q[Z] + N~", "result": {"points": [[0, 0], [0, 1], '
+    '[1, ["", 0]], [2, 0], [0, 2], [1, ["", -1]], [1, ["", 1]], [1, ["L", 0]], [1, ["R", '
+    '0]], [2, 1], [0, 3], [1, ["", -2]], [1, ["", 2]], [1, ["L", -1]], [1, ["L", 1]], [1,'
+    ' ["R", -1]], [1, ["R", 1]], [1, ["LL", 0]], [1, ["LR", 0]], [1, ["RL", 0]], [1, ["RR'
+    '", 0]], [2, 2], [0, 4], [1, ["", -3]], [1, ["", 3]], [1, ["L", -2]], [1, ["L", 2]], '
+    '[1, ["R", -2]], [1, ["R", 2]], [1, ["LL", -1]]]}}'
 )
 
 
@@ -231,6 +229,8 @@ CHAIN_ROWS = [
     (["parse", "tildes-3000"], "Reverse(" * 3000 + "Omega" + ")" * 3000),
     (["norm", "tildes-3000"], "N"),
     (["classify", "tildes-3000"], NOT_SELF_SIMILAR),
+    (["absorbs 2", "reversed-product-3000"], "false"),
+    (["square", "reversed-product-3000"], "true"),
 ]
 
 
@@ -243,6 +243,31 @@ def test_commands_on_long_product_and_reversal_chains(command, chain, expected):
                           capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == expected + "\n"
+
+
+ORACLE_CHAINS = {"sum-3000": LONG_SUM, "reversed-sum-3000": f"({LONG_SUM})~",
+                 "product-3000": CHAINS["product-3000"]}
+ORACLE_ROWS = [
+    *((["enum", chain], "(9, 0)") for chain in ("sum-3000", "reversed-sum-3000")),
+    (["enum", "product-3000"], "(" + ", ".join(["0"] * 3000) + ")"),
+    *((["check", chain], "result: ok") for chain in ORACLE_CHAINS),
+    *((["bnf -r 3", chain], f"partial isomorphism with {n} pairs")
+      for chain, n in [("sum-3000", 3), ("reversed-sum-3000", 3), ("product-3000", 1)]),
+]
+
+
+@pytest.mark.parametrize("command, chain, expected", [(*row, out) for row, out in ORACLE_ROWS],
+                         ids=[" ".join(row) for row, _ in ORACLE_ROWS])
+def test_oracle_commands_on_3000_part_chains(command, chain, expected):
+    # A sum or product is one node with one flat point code, however many
+    # parts it has, so the oracle's walks over codes do not recurse once
+    # per part; nor does the mirror of a long sum, which is one node too.
+    text = ORACLE_CHAINS[chain]
+    operands = [text, text] if command.startswith("bnf") else [text]
+    proc = subprocess.run([sys.executable, "-m", "ordercalc.cli", *command.split(), *operands],
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[-1] == expected
 
 
 @pytest.mark.parametrize("command, expected", [
@@ -324,13 +349,34 @@ CORPUS = ["0", "1", "2", "N~", "Q+1", "0*Q", "Q[0,1]", "Q[1]~", "N*Q[1,2]", "1+Q
 PAIR_TERMS = ["0", "1", "Q", "Q+1"]
 
 
+# Numerals: only ASCII digits are read, and a long literal is refused
+# before int() meets its digit limit, unless it is all leading zeros.
+NUMERALS = [("\u00b2", 2), ("1\u00b2", 2), ("\u0663", 2), ("\uff11", 2),
+            ("9" * 5000, 2), ("0" * 5000 + "1", 0)]
+
+
 @pytest.mark.parametrize(
     "argv",
     [[cmd, t] for cmd in SINGLE_TERM_COMMANDS for t in CORPUS]
-    + [[cmd, a, b] for cmd in ("absorbs", "bnf") for a in PAIR_TERMS for b in PAIR_TERMS],
+    + [[cmd, a, b] for cmd in ("absorbs", "bnf") for a in PAIR_TERMS for b in PAIR_TERMS]
+    + [["norm", t] for t, _ in NUMERALS],
 )
 def test_every_command_ends_in_a_documented_exit_code(argv, capsys):
     assert run(argv) in (0, 2, 3, 4)
+
+
+@pytest.mark.parametrize("text, code", NUMERALS, ids=["sup2", "1sup2", "arabic3", "fullwidth1",
+                                                      "5000 nines", "5000 zeros then 1"])
+def test_numerals_are_ascii_and_bounded(text, code, capsys):
+    assert run(["norm", "--json", text]) == code
+    doc = json.loads(_out(capsys)[0])
+    if code == 0:
+        assert doc["result"] == "1"
+    else:
+        assert doc["error"]["kind"] == "ParseError"
+    if text == "9" * 5000:
+        assert doc["error"]["span"] == [0, 5000]
+        assert doc["error"]["message"] == "number literal exceeds 2147483647"
 
 
 def test_bad_usage_exits_two():
@@ -432,8 +478,8 @@ PINNED = [
      'must be non-empty orders"}, "input": "Q[0]"}'),
     (["norm", "--json", "N*(Z+Q[Z]+Z)"], 3,
      '{"command": "norm", "error": {"kind": "Stuck", "message": "no rewrite applies to '
-     'Product(index=Omega(), fiber=Sum(left=Sum(left=Zeta(), right=Shuffle(blocks=(Zeta(),'
-     '))), right=Zeta()))"}, "input": "N*(Z+Q[Z]+Z)"}'),
+     'Product(parts=(Omega(), Sum(parts=(Zeta(), Shuffle(blocks=(Zeta(),)), Zeta()))))"}, '
+     '"input": "N*(Z+Q[Z]+Z)"}'),
     (["classify", "--json", "N*N+Q[Z]"], 3,
      '{"command": "classify", "error": {"kind": "Unsupported", "message": "canonical form '
      'has scattered parts outside the tame fragment"}, "input": "N*N+Q[Z]"}'),

@@ -1,0 +1,81 @@
+"""Metamorphic gate: verdicts that the algebra of products ties together.
+
+``A*X`` is "A copies of X", so (A*X)~ = A~*X~, and 1*X, X*1, (X~)~ and
+0 + X + 0 are X.  For each of the 200 terms X of the verdict corpus (a
+fixed prefix of a seeded stream, not chosen by outcome) and each of the
+ten ``A_TERMS``, wherever both sides give a verdict within the call
+budget:
+
+- mirror: ``absorbs(A, X) == absorbs(A~, X~)``;
+- invariance: the four terms equal to X get X's class and spectrum;
+- necessary: ``absorbs(A, X)`` implies ``profile(A*X) == profile(X)``.
+
+A side without a verdict (``Stuck``, ``Unsupported``, over budget) leaves
+its identity unchecked for that term.  A violation fails the test.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+import pytest
+
+from conftest import A_TERMS, OverBudget, T, with_budget
+from ordercalc import (
+    Empty,
+    Product,
+    Reverse,
+    Single,
+    StuckError,
+    Sum,
+    UnsupportedError,
+    absorbs,
+    classify_absorption,
+    profile,
+    spectrum_description,
+)
+
+CORPUS = Path(__file__).with_name("verdict_corpus.jsonl")
+BUDGET_CALLS = 200_000  # per query, as for the verdict corpus
+A = [T(a) for a in A_TERMS]
+_NONE = object()  # no verdict
+
+
+def _verdict(fn, *args):
+    try:
+        return with_budget(BUDGET_CALLS, fn, *args)
+    except (OverBudget, StuckError, UnsupportedError):
+        return _NONE
+
+
+def _class(x):
+    c = classify_absorption(x)
+    return type(c).__name__, getattr(c, "case", None), spectrum_description(x)
+
+
+def _agree(a, b) -> bool:
+    return a is _NONE or b is _NONE or a == b
+
+
+@pytest.mark.parametrize("text", [pytest.param(json.loads(line)["term"], id=f"line{i + 1}")
+                                  for i, line in enumerate(CORPUS.read_text().splitlines())])
+def test_identities_of_products_hold(text):
+    x = T(text)
+    violations = []
+    for a, a_text in zip(A, A_TERMS):
+        v = _verdict(absorbs, a, x)
+        mirrored = _verdict(absorbs, Reverse(a), Reverse(x))
+        if not _agree(v, mirrored):
+            violations.append(f"absorbs({a_text}, X) = {v} but absorbs({a_text}~, X~) = {mirrored}")
+        if v is True:
+            p, q = _verdict(profile, Product(a, x)), _verdict(profile, x)
+            if not _agree(p, q):
+                violations.append(f"absorbs({a_text}, X) but profile({a_text}*X) = {p}, not {q}")
+    c = _verdict(_class, x)
+    for name, same in [("1*X", Product(Single(), x)), ("X*1", Product(x, Single())),
+                       ("(X~)~", Reverse(Reverse(x))), ("0 + X + 0", Sum(Empty(), x, Empty()))]:
+        d = _verdict(_class, same)
+        if not _agree(c, d):
+            violations.append(f"{name} gets class and spectrum {d}, X gets {c}")
+    assert not violations, violations

@@ -41,7 +41,7 @@ def test_compare_rejects_bad_codes():
 @pytest.mark.parametrize("src, code", [
     ("N + N", (2, 0)), ("N + N", (0.0, 0)), ("N + N", (0, -1)), ("N*2", (0, 2)),
     ("N*2", (-1, 0)), ("Q[N,Z]", ("", -1)), ("Q", ("", 0, 0)), ("Q", "L"), ("Q", (None, 0)),
-    ("1", 0.0), ("1 + N", (0, 0.0)),
+    ("1", 0.0), ("1 + N", (0, 0.0)), ("N", True), ("N + N", (True, 0)),
 ])
 def test_composite_codes_are_checked(src, code):
     # A composite code is an (index, code in that copy) pair, and both
@@ -194,7 +194,7 @@ def test_colored_back_and_forth_transcript_is_pinned():
         ("Q*(1+Q)", "Q + Q", 128, None,
          "6988ece3971b5dd40cbf23d990154f7ff2874220cdd9853fb83dcbbdc3ace8e2"),
         ("2*Q", "Q*(1+Q+1)", 128, None,
-         "634a7bb8381aa29b6c618960f75cc1ef55db44ab53b0b4160d78dca082636bb8"),
+         "545726e4fc15d3eabfa220662ddae4212c87116ef7a13a72a606ed5c6812cac2"),
         ("(1+Q)*Q", "Q*Q", 128, None,
          "2e14887c4b56272ccd48113b48604974986d8856c5b0d70d7484fbcaebbe259a"),
     ],
@@ -240,12 +240,12 @@ def test_cross_check_report_shapes():
 @pytest.mark.parametrize("src, wrong, text", [
     ("1 + Q + 1", dict(has_left_endpoint=False, has_right_endpoint=False),
      "check 1 + Q + 1 budget=12 points=12\n"
-     "  left_endpoint: counterexample (0, (0, 0))\n"
-     "  right_endpoint: counterexample (1, 0)\n"
+     "  left_endpoint: counterexample (0, 0)\n"
+     "  right_endpoint: counterexample (2, 0)\n"
      "  successor_pairs: consistent\n"
      "  density_between: consistent\n"
-     "  successor_complete: witness_found (0, (0, 0))\n"
-     "  predecessor_complete: witness_found (0, (1, ('', 0)))\n"
+     "  successor_complete: witness_found (0, 0)\n"
+     "  predecessor_complete: witness_found (1, ('', 0))\n"
      "  size: consistent\n"
      "result: FAILED\n"),
     ("Q", dict(has_left_endpoint=True, has_right_endpoint=True),

@@ -23,7 +23,6 @@ from ordercalc import (
     profile,
     validate,
 )
-from ordercalc.terms import leaves as sum_leaves, operands as summands
 
 
 def test_validate_ok():
@@ -92,9 +91,9 @@ def test_desugar_has_no_reverse_or_inner_empty(t):
         if not top:
             assert u != Empty()
         match u:
-            case Sum(a, b) | Product(a, b):
-                scan(a, False)
-                scan(b, False)
+            case Sum(parts) | Product(parts):
+                for p in parts:
+                    scan(p, False)
             case Shuffle(blocks):
                 for b in blocks:
                     scan(b, False)
@@ -108,8 +107,8 @@ def _nodes(t):
         u = todo.pop()
         yield u
         match u:
-            case Sum(a, b) | Product(a, b):
-                todo += (a, b)
+            case Sum(parts) | Product(parts):
+                todo += parts
             case Shuffle(blocks):
                 todo += blocks
             case Reverse(body):
@@ -174,10 +173,10 @@ def test_golden_corpus_validates():
 def _rebuild(t):
     # A copy of t made node by node through the constructors.
     match t:
-        case Sum(a, b):
-            return Sum(_rebuild(a), _rebuild(b))
-        case Product(x, y):
-            return Product(_rebuild(x), _rebuild(y))
+        case Sum(parts):
+            return Sum(*map(_rebuild, parts))
+        case Product(parts):
+            return Product(*map(_rebuild, parts))
         case Shuffle(blocks):
             return Shuffle([_rebuild(b) for b in blocks])
         case Reverse(body):
@@ -230,26 +229,34 @@ def _left_sum(n: int):
 
 
 def test_long_sum_spine_hashes_and_walks_without_recursion():
-    # 5000 nested Sums are far deeper than the recursion limit: hashing
-    # reads stored values, and the spine is walked with loops.
-    t = _left_sum(5000)
-    assert hash(t) == hash(_left_sum(5000))
-    assert len(summands(t)) == 5000
+    # A sum of 5000 terms is one node: hashing reads stored values, and
+    # no walk recurses once per summand.
+    t = Sum(*[Single()] * 5000)
+    assert hash(t) == hash(Sum(*[Single()] * 5000))
+    assert len(t.parts) == 5000
     validate(t)
     d = desugar(t)
-    assert hash(d) == hash(t) and summands(d) == summands(t)
+    assert hash(d) == hash(t) and d.parts == t.parts
     assert profile(t).size == 5000
+    # Adding one summand at a time splices each sum into the next.
+    assert _left_sum(300) == Sum(*[Single()] * 300)
 
 
-def test_summands_of_a_sum_spine():
-    assert summands(T("1 + N + (Z + 2)")) == [Single(), Omega(), Sum(Zeta(), Finite(2))]
-    assert summands(Zeta()) == [Zeta()]
+def test_a_sum_holds_its_parts_flat():
+    parts = (Single(), Omega(), Sum(Zeta(), Finite(2)))
+    assert T("1 + N + (Z + 2)").parts == parts
+    assert T("(1 + N) + (Z + 2)").parts == parts
+    assert T("2*(N*Z)*(1*Q)").parts == (Finite(2), Product(Omega(), Zeta()),
+                                        Product(Single(), Shuffle((Single(),))))
+    with pytest.raises(TypeError):
+        Sum(Single())
 
 
-def test_sum_leaves_walk_sums_nested_on_either_side():
+def test_sum_splices_a_first_sum_and_keeps_later_ones():
     t = Sum(Sum(Single(), Sum(Omega(), Zeta())), Sum(Finite(2), OmegaStar()))
-    assert sum_leaves(t) == [Single(), Omega(), Zeta(), Finite(2), OmegaStar()]
-    assert sum_leaves(Zeta()) == [Zeta()]
+    assert t.parts == (Single(), Sum(Omega(), Zeta()), Sum(Finite(2), OmegaStar()))
+    assert Product(Product(Omega(), Zeta()), Single()) == Product(Omega(), Zeta(), Single())
+    assert Product(Omega(), Product(Zeta(), Single())).parts[1] == Product(Zeta(), Single())
 
 
 def _reverse_recursively(t):
@@ -258,27 +265,31 @@ def _reverse_recursively(t):
             return OmegaStar()
         case OmegaStar():
             return Omega()
-        case Sum(a, b):
-            return Sum(_reverse_recursively(b), _reverse_recursively(a))
-        case Product(x, y):
-            return Product(_reverse_recursively(x), _reverse_recursively(y))
+        case Sum(parts):
+            return Sum(*map(_reverse_recursively, reversed(parts)))
+        case Product(parts):
+            return Product(*map(_reverse_recursively, parts))
         case Shuffle(blocks):
             return Shuffle(tuple(map(_reverse_recursively, blocks)))
     return t
 
 
 def _desugar_recursively(t):
-    # desugar as one recursive call per node and per reversal: the
-    # definition that desugar and terms._reverse walk with loops.
+    # desugar as one recursive call per node and per pair of reversals:
+    # the definition that desugar follows, with runs of ~ walked as loops.
+    # The mirror splices a first part that is a sum, so only a pair of ~
+    # gives back the tree it started from.
     match t:
+        case Reverse(Reverse(body)):
+            return _desugar_recursively(body)
         case Reverse(body):
             return _reverse_recursively(_desugar_recursively(body))
-        case Sum(a, b):
-            kept = [p for p in map(_desugar_recursively, (a, b)) if p != Empty()]
-            return Sum(*kept) if len(kept) == 2 else (kept or [Empty()])[0]
-        case Product(x, y):
-            x, y = _desugar_recursively(x), _desugar_recursively(y)
-            return Empty() if Empty() in (x, y) else Product(x, y)
+        case Sum(parts):
+            kept = [p for p in map(_desugar_recursively, parts) if p != Empty()]
+            return Sum(*kept) if len(kept) > 1 else (kept or [Empty()])[0]
+        case Product(parts):
+            parts = [*map(_desugar_recursively, parts)]
+            return Empty() if Empty() in parts else Product(*parts)
         case Shuffle(blocks):
             kept = tuple(b for b in map(_desugar_recursively, blocks) if b != Empty())
             return Shuffle(kept) if kept else Empty()
@@ -304,19 +315,15 @@ def test_desugar_gives_the_tree_of_its_recursive_definition(args):
 
 
 def test_long_reversed_sums_and_reversal_chains_desugar_without_recursion():
-    # A cached entry equal to t but built apart would be compared with it
-    # node by node, which still recurses once per summand (a known defect
-    # of the recursive dataclass ==); start from an empty cache.
     desugar.cache_clear()
-    t = _left_sum(5000)
+    t = Sum(*[Single()] * 5000)
     mirrored = desugar(Reverse(t))
-    assert sum_leaves(mirrored) == [Single()] * 5000
-    assert len(summands(mirrored)) == 2  # the mirror of a left spine nests to the right
-    # Deep trees are compared by their stored hashes and their leaves:
-    # == on them recurses once per level.
+    assert mirrored.parts == (Single(),) * 5000  # the mirror of a sum is one node too
+    # Sum(t, N) splices t; its mirror, N~ + 1 + ... + 1, is spliced into
+    # the outer sum, whose mirror is one node again.
     twice = desugar(Reverse(Sum(Reverse(Sum(t, Omega())), Zeta())))
-    assert hash(twice) == hash(Sum(Zeta(), Sum(t, Omega())))
-    assert sum_leaves(twice) == [Zeta(), *[Single()] * 5000, Omega()]
+    assert twice == Sum(Zeta(), *t.parts, Omega())
+    assert hash(twice) == hash(Sum(Zeta(), *t.parts, Omega()))
     assert desugar(_reversed(Omega(), 5000)) == Omega()
     assert desugar(_reversed(Omega(), 5001)) == OmegaStar()
     assert desugar(_reversed(t, 5000)) is t  # nothing left to eliminate

@@ -124,8 +124,8 @@ def _has_omega_star(t):
     match t:
         case OmegaStar():
             return True
-        case Sum(a, b) | Product(a, b):
-            return _has_omega_star(a) or _has_omega_star(b)
+        case Sum(parts) | Product(parts):
+            return any(map(_has_omega_star, parts))
         case Shuffle(blocks):
             return any(_has_omega_star(b) for b in blocks)
         case Reverse(body):
