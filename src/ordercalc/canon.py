@@ -358,7 +358,8 @@ def canonicalize(t: OrderTerm) -> CanonicalForm:
 
     Raises StuckError when a residual product admits no sound rewrite
     (the junction of the fiber is neither empty nor one of its blocks);
-    a wrong form is never returned.
+    a wrong form is never returned.  The error names a stuck product node
+    of desugar(t), whole; a stuck product inside its fiber is named first.
     """
     return _canon(desugar(t))
 
@@ -379,36 +380,38 @@ def _canon(t: OrderTerm) -> CanonicalForm:
         case Shuffle(blocks):
             return CanonicalForm((_canon_shuffle([_canon(b) for b in blocks]),))
         case Product(parts):
-            # x1*...*xk*y is canonicalized as x1*(...*(xk*y)) from the
-            # inside out, so each step finds its fiber's form in the cache.
-            x, *xs, y = parts
-            for i in reversed(xs):
-                y = Product(i, y)
-                _canon(y)
-            return _canon_product(x, y)
+            # x1*...*xk*y is x1 copies of ... xk copies of y: the index
+            # acts on the fiber's form.  Stuck there, name this input node.
+            cf = _canon(parts[-1])
+            try:
+                return _times(join(Product, parts[:-1]), cf)
+            except StuckError:
+                raise StuckError(t) from None
     raise AssertionError(f"unreachable: {t!r}")
 
 
-def _canon_product(x: OrderTerm, y: OrderTerm) -> CanonicalForm:
+def _times(x: OrderTerm, cf: CanonicalForm) -> CanonicalForm:
+    """The form of x copies of the order whose form is cf."""
     match x:
         case Single():
-            return _canon(y)
+            return cf
         case Finite(n):
-            return _repeat_form(_canon(y), n)
+            return _repeat_form(cf, n)
         case Sum(parts):
-            return CanonicalForm(
-                concat_components(*(_canon(Product(a, y)).components for a in parts))
-            )
+            return CanonicalForm(concat_components(*(_times(a, cf).components for a in parts)))
         case Shuffle(blocks):
-            return _canon(Shuffle(tuple(Product(i, y) for i in blocks)))
+            return CanonicalForm((_canon_shuffle([_times(b, cf) for b in blocks]),))
+        case Product(parts):
+            for p in reversed(parts):
+                cf = _times(p, cf)
+            return cf
         case Omega() | OmegaStar() | Zeta():
-            return _kappa_product(x, y)
+            return _kappa_product(x, cf)
     raise AssertionError(f"unreachable index: {x!r}")
 
 
-def _kappa_product(x: OrderTerm, y: OrderTerm) -> CanonicalForm:
+def _kappa_product(x: OrderTerm, cf: CanonicalForm) -> CanonicalForm:
     kind, atom = _KAPPA[x]
-    cf = _canon(y)
     shuf_at = [i for i, c in enumerate(cf.components) if isinstance(c, Shuf)]
     if not shuf_at:
         atoms = cf.components[0].atoms
@@ -416,7 +419,7 @@ def _kappa_product(x: OrderTerm, y: OrderTerm) -> CanonicalForm:
             return CanonicalForm((Scat((atom,)),))
         return CanonicalForm((Scat(_pow_atoms(kind, atoms)),))
     if len(shuf_at) != 1:
-        raise StuckError(Product(x, y))
+        raise StuckError(x)
     i = shuf_at[0]
     left = cf.components[:i]
     shuf = cf.components[i]
@@ -427,7 +430,7 @@ def _kappa_product(x: OrderTerm, y: OrderTerm) -> CanonicalForm:
     # dissolve into the dense mixture for the product to collapse.
     junction = _concat_atoms(r_atoms, l_atoms)
     if junction and CanonicalForm((Scat(junction),)) not in shuf.blocks:
-        raise StuckError(Product(x, y))
+        raise StuckError(x)
     if kind == "N":
         return CanonicalForm(left + (shuf,))
     if kind == "N~":

@@ -134,13 +134,10 @@ _FIXED_KINDS = {
 
 
 def _natural(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        n = -1
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"expected an integer 0 or more, got {text!r}")
-    return n
+    # ASCII digits only, as for numerals in terms: int() also reads "٣", "1_0" and " 3".
+    if text.isascii() and text.isdigit():
+        return int(text)
+    raise argparse.ArgumentTypeError(f"expected an integer 0 or more, got {text!r}")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -1,4 +1,5 @@
 import copy
+import json
 import os
 import pickle
 import subprocess
@@ -41,6 +42,8 @@ from ordercalc import (
 )
 from ordercalc import canon, terms
 from ordercalc.canon import _try_flatten
+
+CORPUS = Path(__file__).with_name("verdict_corpus.jsonl")
 
 
 def norm(s: str) -> str:
@@ -215,13 +218,80 @@ def test_canonicalizing_the_untame_reference_term_stays_within_a_call_budget():
 
 
 def test_classifying_a_long_product_chain_stays_within_a_call_budget():
-    # 2*...*2*Q with 3000 factors: each step of the product spine finds its
-    # fiber's form in the cache, so the cost grows linearly, near 24
-    # Python calls per factor.
+    # 2*...*2*Q with 3000 factors: the factors act on the fiber's form one
+    # at a time, from the last, so the cost grows linearly, near 16 Python
+    # calls per factor.  No suffix of the product is built to be looked
+    # up, so the cache holds no entry per factor.
     x = T("*".join(["2"] * 3000) + "*Q")
     for f in (terms.desugar, canon._canon):
         f.cache_clear()
     assert with_budget(200_000, classify_absorption, x).case == 1
+    assert canon._canon.cache_info().currsize <= 3
+
+
+def test_two_long_products_with_a_common_suffix_in_one_process():
+    # Neither product meets the other's factors in the cache, so no two
+    # long chains built apart are compared.
+    ones = "*1" * 2999
+    assert canonicalize(T("2" + ones)).components == (Scat((Fin(2),)),)
+    assert canonicalize(T("3" + ones)).components == (Scat((Fin(3),)),)
+
+
+def _nodes(t):
+    todo, out = [t], []
+    while todo:
+        u = todo.pop()
+        out.append(u)
+        if isinstance(u, (Sum, Product)):
+            todo += u.parts
+        elif isinstance(u, terms.Shuffle):
+            todo += u.blocks
+    return out
+
+
+def _stuck_names_a_stuck_input_node(t) -> bool:
+    # Whether canonicalize(t) is stuck; if it is, the node it names must be
+    # a node of the input that is stuck on its own.
+    try:
+        canonicalize(t)
+    except StuckError as e:
+        assert e.subterm in _nodes(terms.desugar(t))
+        with pytest.raises(StuckError):
+            canonicalize(e.subterm)
+        return True
+    return False
+
+
+STUCK_CORPUS = [pytest.param(line["term"], id=f"line{i + 1}")
+                for i, line in enumerate(map(json.loads, CORPUS.read_text().splitlines()))
+                if line.get("stop") == "Stuck"]
+
+
+@pytest.mark.parametrize("text", STUCK_CORPUS)
+def test_stuck_names_a_stuck_node_of_the_input_on_the_corpus(text):
+    assert _stuck_names_a_stuck_input_node(T(text))
+
+
+@given(term_strategy(), term_strategy())
+@settings(max_examples=200, deadline=None)
+@seed(20230924)
+def test_stuck_names_a_stuck_node_of_the_input(a, x):
+    _stuck_names_a_stuck_input_node(Product(a, x))
+
+
+@pytest.mark.parametrize("text, named", [
+    ("N*(Z + Q[Z] + Z)", "N*(Z + Q[Z] + Z)"),
+    ("(N+N~)*(Z + Q[Z,Z] + Z)", "(N + N~)*(Z + Q[Z,Z] + Z)"),
+    ("N*2*(Z + Q[Z] + Z)", "N*2*(Z + Q[Z] + Z)"),
+    ("2*(N*(Q + 2))", "N*(Q + 2)"),
+    ("(2 + N*(Q + 2))*1", "(2 + N*(Q + 2))*1"),
+])
+def test_stuck_names_the_product_that_is_stuck(text, named):
+    # A product whose index meets no rewrite is named whole, index and
+    # all; a stuck product inside its fiber is named before the index acts.
+    with pytest.raises(StuckError) as exc:
+        canonicalize(T(text))
+    assert print_term(exc.value.subterm) == named
 
 
 def test_structural_only_outside_tame_fragment():

@@ -158,7 +158,10 @@ def test_oracle_transcripts_are_pinned(argv, expected, capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["enum", "Q", "-n", "-5"], ["check", "Q", "-n", "-4"], ["bnf", "Q", "Q", "-r", "-3"]],
+    [["enum", "Q", "-n", "-5"], ["check", "Q", "-n", "-4"], ["bnf", "Q", "Q", "-r", "-3"]]
+    # Counts are ASCII digits, as numerals in terms are; int() alone reads these too.
+    + [[*argv, text] for argv in (["enum", "Q", "-n"], ["check", "Q", "-n"], ["bnf", "Q", "Q", "-r"])
+       for text in ("\u0663", "\uff11", "1_0", " 3")],
 )
 def test_negative_count_exits_two(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -218,6 +221,7 @@ CHAINS = {
     **{f"product-{n}": "*".join(["1"] * n) for n in (300, 3000)},
     **{f"reversed-product-{n}": "(" + "*".join(["1"] * n) + ")~" for n in (300, 3000)},
     "tildes-3000": "N" + "~" * 3000,
+    "two-products-3000": "2" + "*1" * 2999 + " + 3" + "*1" * 2999,
 }
 CHAIN_ROWS = [
     *((["parse", f"product-{n}"], "Product(" * (n - 1) + "Single" + ", Single)" * (n - 1))
@@ -231,6 +235,8 @@ CHAIN_ROWS = [
     (["classify", "tildes-3000"], NOT_SELF_SIMILAR),
     (["absorbs 2", "reversed-product-3000"], "false"),
     (["square", "reversed-product-3000"], "true"),
+    (["norm", "two-products-3000"], "5"),
+    (["classify", "two-products-3000"], NOT_SELF_SIMILAR),
 ]
 
 

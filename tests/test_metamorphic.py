@@ -8,15 +8,22 @@ budget:
 
 - mirror: ``absorbs(A, X) == absorbs(A~, X~)``;
 - invariance: the four terms equal to X get X's class and spectrum;
-- necessary: ``absorbs(A, X)`` implies ``profile(A*X) == profile(X)``.
+- necessary: ``absorbs(A, X)`` implies ``profile(A*X) == profile(X)``;
+- forms: where ``cf_equal(canon(A*X), canon(X))`` decides, it is Equal
+  exactly when ``absorbs(A, X)``;
+- product: (A*B)*X = A*(B*X), so if A and B absorb into X, so does A*B;
+- sum: (A+B)*X = A*X + B*X, so when 2, A and B absorb into X, so does
+  A+B.
 
-A side without a verdict (``Stuck``, ``Unsupported``, over budget) leaves
-its identity unchecked for that term.  A violation fails the test.
+A side without a verdict (``Stuck``, ``Unsupported``, over budget, or
+forms that are only ``StructuralOnly``) leaves its identity unchecked
+for that term.  A violation fails the test.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -24,6 +31,7 @@ import pytest
 from conftest import A_TERMS, OverBudget, T, with_budget
 from ordercalc import (
     Empty,
+    Equality,
     Product,
     Reverse,
     Single,
@@ -31,6 +39,8 @@ from ordercalc import (
     Sum,
     UnsupportedError,
     absorbs,
+    canonicalize,
+    cf_equal,
     classify_absorption,
     profile,
     spectrum_description,
@@ -62,16 +72,32 @@ def _agree(a, b) -> bool:
                                   for i, line in enumerate(CORPUS.read_text().splitlines())])
 def test_identities_of_products_hold(text):
     x = T(text)
+    cx = _verdict(canonicalize, x)
     violations = []
+    absorbed = []
     for a, a_text in zip(A, A_TERMS):
         v = _verdict(absorbs, a, x)
         mirrored = _verdict(absorbs, Reverse(a), Reverse(x))
         if not _agree(v, mirrored):
             violations.append(f"absorbs({a_text}, X) = {v} but absorbs({a_text}~, X~) = {mirrored}")
         if v is True:
+            absorbed.append((a, a_text))
             p, q = _verdict(profile, Product(a, x)), _verdict(profile, x)
             if not _agree(p, q):
                 violations.append(f"absorbs({a_text}, X) but profile({a_text}*X) = {p}, not {q}")
+        cax, equal = _verdict(canonicalize, Product(a, x)), _NONE
+        if cx is not _NONE and cax is not _NONE:
+            eq = cf_equal(cax, cx)
+            equal = _NONE if eq is Equality.STRUCTURAL_ONLY else eq is Equality.EQUAL
+        if not _agree(v, equal):
+            violations.append(f"absorbs({a_text}, X) = {v} but the forms of ({a_text})*X and X "
+                              f"are {eq.value}")
+    two = any(a_text == "2" for _, a_text in absorbed)
+    for (a, a_text), (b, b_text) in product(absorbed, repeat=2):
+        if _verdict(absorbs, Product(a, b), x) is False:
+            violations.append(f"{a_text} and {b_text} absorb into X, but ({a_text})*({b_text}) does not")
+        if two and _verdict(absorbs, Sum(a, b), x) is False:
+            violations.append(f"2, {a_text} and {b_text} absorb into X, but {a_text} + {b_text} does not")
     c = _verdict(_class, x)
     for name, same in [("1*X", Product(Single(), x)), ("X*1", Product(x, Single())),
                        ("(X~)~", Reverse(Reverse(x))), ("0 + X + 0", Sum(Empty(), x, Empty()))]:
