@@ -356,9 +356,9 @@ def _canon_shuffle(blocks) -> Shuf:
 def canonicalize(t: OrderTerm) -> CanonicalForm:
     """Rewrite t to its canonical form.
 
-    Raises StuckError when a residual product admits no sound rewrite
-    (the junction of the fiber is neither empty nor one of its blocks);
-    a wrong form is never returned.  The error names a stuck product node
+    Raises StuckError when an N, N~ or Z product admits no sound rewrite:
+    Stuck when two consecutive copies of the fiber do not merge into one.
+    A wrong form is never returned.  The error names a stuck product node
     of desugar(t), whole; a stuck product inside its fiber is named first.
     """
     return _canon(desugar(t))
@@ -406,36 +406,21 @@ def _times(x: OrderTerm, cf: CanonicalForm) -> CanonicalForm:
                 cf = _times(p, cf)
             return cf
         case Omega() | OmegaStar() | Zeta():
-            return _kappa_product(x, cf)
+            kind, atom = _KAPPA[x]
+            comps = cf.components
+            i = next((i for i, c in enumerate(comps) if isinstance(c, Shuf)), None)
+            if i is None:
+                atoms = comps[0].atoms
+                if len(atoms) == 1 and isinstance(atoms[0], Fin):
+                    return CanonicalForm((Scat((atom,)),))
+                return CanonicalForm((Scat(_pow_atoms(kind, atoms)),))
+            # The copies collapse exactly when two consecutive ones merge:
+            # one copy's Q + R followed by the next copy's L + Q is Q again.
+            if concat_components(comps[i:], comps[:i + 1]) != comps[i:i + 1]:
+                raise StuckError(x)
+            return CanonicalForm(comps[:i + 1] if kind == "N"
+                                 else comps[i:] if kind == "N~" else comps[i:i + 1])
     raise AssertionError(f"unreachable index: {x!r}")
-
-
-def _kappa_product(x: OrderTerm, cf: CanonicalForm) -> CanonicalForm:
-    kind, atom = _KAPPA[x]
-    shuf_at = [i for i, c in enumerate(cf.components) if isinstance(c, Shuf)]
-    if not shuf_at:
-        atoms = cf.components[0].atoms
-        if len(atoms) == 1 and isinstance(atoms[0], Fin):
-            return CanonicalForm((Scat((atom,)),))
-        return CanonicalForm((Scat(_pow_atoms(kind, atoms)),))
-    if len(shuf_at) != 1:
-        raise StuckError(x)
-    i = shuf_at[0]
-    left = cf.components[:i]
-    shuf = cf.components[i]
-    right = cf.components[i + 1:]
-    l_atoms = left[0].atoms if left else ()
-    r_atoms = right[0].atoms if right else ()
-    # Consecutive copies of the fiber meet as R + L; that junction must
-    # dissolve into the dense mixture for the product to collapse.
-    junction = _concat_atoms(r_atoms, l_atoms)
-    if junction and CanonicalForm((Scat(junction),)) not in shuf.blocks:
-        raise StuckError(x)
-    if kind == "N":
-        return CanonicalForm(left + (shuf,))
-    if kind == "N~":
-        return CanonicalForm((shuf,) + right)
-    return CanonicalForm((shuf,))
 
 
 # --- conversion back to terms, and to DOT ---

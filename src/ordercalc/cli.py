@@ -133,11 +133,16 @@ _FIXED_KINDS = {
 }
 
 
+MAX_COUNT = 10_000  # -n and -r: the answer is built in memory before it prints
+
+
 def _natural(text: str) -> int:
     # ASCII digits only, as for numerals in terms: int() also reads "٣", "1_0" and " 3".
-    if text.isascii() and text.isdigit():
-        return int(text)
-    raise argparse.ArgumentTypeError(f"expected an integer 0 or more, got {text!r}")
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected an integer 0 or more, got {text!r}")
+    if int(text) > MAX_COUNT:
+        raise argparse.ArgumentTypeError(f"expected at most {MAX_COUNT}, got {text}")
+    return int(text)
 
 
 def _build_parser() -> argparse.ArgumentParser:

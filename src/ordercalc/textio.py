@@ -236,18 +236,10 @@ def print_term(t: OrderTerm) -> str:
 def ast_repr(t: OrderTerm) -> str:
     """Structural rendering of the tree, one constructor per node."""
     match t:
-        case Empty():
-            return "Empty"
-        case Single():
-            return "Single"
+        case Empty() | Single() | Omega() | OmegaStar() | Zeta():
+            return type(t).__name__
         case Finite(n):
             return f"Finite({n})"
-        case Omega():
-            return "Omega"
-        case OmegaStar():
-            return "OmegaStar"
-        case Zeta():
-            return "Zeta"
         case Sum(parts) | Product(parts):
             # a + b + c prints as Sum(Sum(a, b), c): the chain read as
             # left-nested binary nodes.

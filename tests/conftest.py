@@ -1,3 +1,4 @@
+import random
 import sys
 
 import hypothesis.strategies as st
@@ -46,6 +47,44 @@ A_TERMS = ["1", "2", "3", "N", "N~", "Z", "1+Q", "Q+1", "1+Q+1", "N+N~"]
 
 def T(s: str):
     return parse(s)
+
+
+_WORD_ATOMS = ["1", "2", "3", "N", "N~", "Z"]
+
+
+def shaped_terms(seed: int, count: int) -> list[str]:
+    """The first `count` distinct texts of a seeded stream of X = L + Q[blocks] + R,
+    the paper's shape, which reaches all eight absorption cases.
+
+    A word is 1-3 atoms from 1 2 3 N N~ Z.  The blocks are 1-3 words, or
+    a word beside a Q[...] of words; L and R are each empty, one of the
+    blocks or a word; 40% of the time the junction R + L is one more block.
+    """
+    rng = random.Random(seed)
+
+    def word():
+        return " + ".join(rng.choice(_WORD_ATOMS) for _ in range(rng.randint(1, 3)))
+
+    def block():
+        if rng.random() < 0.2:
+            inner = f"Q[{', '.join(word() for _ in range(rng.randint(1, 2)))}]"
+            return rng.choice([f"{word()} + {inner}", f"{inner} + {word()}"])
+        return word()
+
+    seen: set[str] = set()
+    out = []
+    while len(out) < count:
+        blocks = [block() for _ in range(rng.randint(1, 3))]
+        left, right = ("" if r < 1 / 3 else rng.choice(blocks) if r < 2 / 3 else word()
+                       for r in (rng.random(), rng.random()))
+        junction = " + ".join(p for p in (right, left) if p)
+        if junction and rng.random() < 0.4:
+            blocks.append(junction)
+        x = " + ".join(p for p in (left, f"Q[{', '.join(blocks)}]", right) if p)
+        if x not in seen:
+            seen.add(x)
+            out.append(x)
+    return out
 
 
 _ATOMS = st.sampled_from(

@@ -7,7 +7,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from ordercalc.cli import _COMMANDS, run
+from ordercalc.cli import _COMMANDS, MAX_COUNT, run
 from ordercalc.textio import MAX_DEPTH
 
 RESULT_SCHEMA = {
@@ -168,6 +168,25 @@ def test_negative_count_exits_two(argv, capsys):
         run(argv)
     assert exc.value.code == 2
     assert "expected an integer 0 or more" in _out(capsys)[1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[*argv, text] for argv in (["enum", "Q", "-n"], ["check", "Q", "-n"], ["bnf", "Q", "Q", "-r"])
+     for text in ("10001", "100000000")],
+)
+def test_count_above_the_cap_exits_two(argv, capsys):
+    # The answer is built in memory before it prints: without the cap,
+    # enum Q -n 100000000 ran out of memory.
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert f"expected at most {MAX_COUNT}" in _out(capsys)[1]
+
+
+def test_count_at_the_cap_is_answered(capsys):
+    assert run(["enum", "Q", "-n", str(MAX_COUNT)]) == 0
+    assert len(_out(capsys)[0].splitlines()) == MAX_COUNT
 
 
 def test_norm_of_long_sum(capsys):

@@ -1,10 +1,11 @@
 """Metamorphic gate: verdicts that the algebra of products ties together.
 
 ``A*X`` is "A copies of X", so (A*X)~ = A~*X~, and 1*X, X*1, (X~)~ and
-0 + X + 0 are X.  For each of the 200 terms X of the verdict corpus (a
-fixed prefix of a seeded stream, not chosen by outcome) and each of the
-ten ``A_TERMS``, wherever both sides give a verdict within the call
-budget:
+0 + X + 0 are X.  For each of the 200 terms X of the verdict corpus and
+the first 200 terms of ``shaped_terms(1, ...)``, of the paper's shape
+L + Q[blocks] + R (fixed prefixes of seeded streams, not chosen by
+outcome), and each of the ten ``A_TERMS``, wherever both sides give a
+verdict within the call budget:
 
 - mirror: ``absorbs(A, X) == absorbs(A~, X~)``;
 - invariance: the four terms equal to X get X's class and spectrum;
@@ -28,12 +29,14 @@ from pathlib import Path
 
 import pytest
 
-from conftest import A_TERMS, OverBudget, T, with_budget
+from conftest import A_TERMS, OverBudget, T, shaped_terms, with_budget
 from ordercalc import (
+    AbsorptionCase,
     Empty,
     Equality,
     Product,
     Reverse,
+    Shuffle,
     Single,
     StuckError,
     Sum,
@@ -41,12 +44,15 @@ from ordercalc import (
     absorbs,
     canonicalize,
     cf_equal,
+    cf_to_term,
     classify_absorption,
+    decompose,
     profile,
     spectrum_description,
 )
 
 CORPUS = Path(__file__).with_name("verdict_corpus.jsonl")
+SHAPES = shaped_terms(1, 200)
 BUDGET_CALLS = 200_000  # per query, as for the verdict corpus
 A = [T(a) for a in A_TERMS]
 _NONE = object()  # no verdict
@@ -69,7 +75,8 @@ def _agree(a, b) -> bool:
 
 
 @pytest.mark.parametrize("text", [pytest.param(json.loads(line)["term"], id=f"line{i + 1}")
-                                  for i, line in enumerate(CORPUS.read_text().splitlines())])
+                                  for i, line in enumerate(CORPUS.read_text().splitlines())]
+                         + [pytest.param(x, id=f"shape{i + 1}") for i, x in enumerate(SHAPES)])
 def test_identities_of_products_hold(text):
     x = T(text)
     cx = _verdict(canonicalize, x)
@@ -104,4 +111,35 @@ def test_identities_of_products_hold(text):
         d = _verdict(_class, same)
         if not _agree(c, d):
             violations.append(f"{name} gets class and spectrum {d}, X gets {c}")
+    assert not violations, violations
+
+
+def test_the_shaped_prefix_reaches_every_absorption_case():
+    verdicts = [classify_absorption(T(x)) for x in SHAPES]
+    cases = {c.case for c in verdicts if isinstance(c, AbsorptionCase)}
+    assert cases == set(range(1, 9))
+
+
+@pytest.mark.parametrize("kappa", ["N", "N~", "Z"])
+def test_kappa_products_collapse_exactly_when_consecutive_copies_merge(kappa):
+    # Copies of L + Q[blocks] + R meet at R + L; they merge into the dense
+    # mixture exactly when R + L is empty or a block.  Then N copies are
+    # L + Q[blocks], N~ copies Q[blocks] + R and Z copies Q[blocks].
+    violations = []
+    for text in SHAPES:
+        x = T(text)
+        d = decompose(x)
+        try:
+            got = canonicalize(Product(T(kappa), x))
+        except StuckError:
+            got = None
+        want = None
+        if d is not None:
+            left, right = cf_to_term(d.left), cf_to_term(d.right)
+            junction = canonicalize(Sum(right, left))
+            if not junction.components or junction in d.blocks:
+                dense = Shuffle(tuple(map(cf_to_term, d.blocks)))
+                want = canonicalize({"N": Sum(left, dense), "N~": Sum(dense, right), "Z": dense}[kappa])
+        if got != want:
+            violations.append(f"{kappa}*({text}) gives {got}, not {want}")
     assert not violations, violations
