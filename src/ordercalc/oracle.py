@@ -6,8 +6,12 @@ codes: integers for the atoms, ``(i, c)`` for point c of summand i,
 point c of a shuffle's copy at a node of the infinite binary tree in
 infix order, whose block is chosen by its depth modulo the number of
 blocks.  Each depth class is dense in the tree order, so this is a fixed
-concrete realization of the dense partition.  Every walk over codes
-recurses once per bracket level, not once per part.
+concrete realization of the dense partition.
+
+Each public call realizes its desugared term once, as a tree of small
+objects, one per node, that check, order, describe and choose points by
+their codes.  Building it, like every walk over codes, recurses once per
+bracket level, not once per part.
 
 Comparison, neighbourhood facts, betweenness, fair enumeration, the
 back-and-forth construction, and a consistency checker against the
@@ -51,42 +55,6 @@ class PointFacts(NamedTuple):
     has_predecessor: bool
 
 
-_OMEGA = Omega()
-
-
-def _copy(t: Sum | Shuffle, i) -> OrderTerm:
-    # Summand i of a sum, or the block of a shuffle's copy at position i.
-    return t.parts[i] if isinstance(t, Sum) else t.blocks[len(i) % len(t.blocks)]
-
-
-def _check(t: OrderTerm, c: PointCode) -> None:
-    match t:
-        case Single():
-            ok = type(c) is int and c == 0
-        case Finite(n):
-            ok = type(c) is int and 0 <= c < n
-        case Omega() | OmegaStar():
-            ok = type(c) is int and c >= 0
-        case Zeta():
-            ok = type(c) is int
-        case Sum(parts) | Shuffle(parts):
-            # A summand number or a tree position, and a code in that copy.
-            ok = isinstance(c, tuple) and len(c) == 2 and (
-                type(c[0]) is int and 0 <= c[0] < len(parts) if isinstance(t, Sum)
-                else isinstance(c[0], str) and all(ch in "LR" for ch in c[0]))
-            if ok:
-                _check(_copy(t, c[0]), c[1])
-        case Product(parts):
-            ok = isinstance(c, tuple) and len(c) == len(parts)
-            if ok:
-                for p, ci in zip(parts, c):
-                    _check(p, ci)
-        case _:
-            raise InvalidCodeError("the empty order has no points")
-    if not ok:
-        raise InvalidCodeError(f"code {c!r} is not a point of {print_term(t)}")
-
-
 _POS_DIGITS = str.maketrans("LR", "02")
 
 
@@ -95,86 +63,6 @@ def _pos_key(pos: str) -> str:
     # the end of the shorter string, L < (stop) < R, so L, R and the
     # final stop become the digits 0, 2 and 1 of a string key.
     return pos.translate(_POS_DIGITS) + "1"
-
-
-def _key(t: OrderTerm, c: PointCode):
-    # A value whose native ordering is the point order of t.
-    match t:
-        case Single() | Finite() | Omega() | Zeta():
-            return c
-        case OmegaStar():
-            return -c
-        case Sum(parts):
-            return (c[0], _key(parts[c[0]], c[1]))
-        case Product(parts):
-            return tuple(map(_key, parts, c))
-        case Shuffle(blocks):
-            return (_pos_key(c[0]), _key(blocks[len(c[0]) % len(blocks)], c[1]))
-    raise AssertionError
-
-
-def compare(t: OrderTerm, a: PointCode, b: PointCode) -> int:
-    """Total-order comparison: -1, 0, or 1."""
-    t = desugar(t)
-    _check(t, a)
-    _check(t, b)
-    ka, kb = _key(t, a), _key(t, b)
-    return (ka > kb) - (ka < kb)
-
-
-def _facts(t: OrderTerm, c: PointCode) -> PointFacts:
-    match t:
-        case Single():
-            return PointFacts(True, True, False, False)
-        case Finite(n):
-            return PointFacts(c == 0, c == n - 1, c < n - 1, c > 0)
-        case Omega():
-            return PointFacts(c == 0, False, True, c > 0)
-        case OmegaStar():
-            return PointFacts(False, c == 0, c > 0, True)
-        case Zeta():
-            return PointFacts(False, False, True, True)
-        case Sum(parts):
-            i, inner = c
-            last = len(parts) - 1
-            f = _facts(parts[i], inner)
-            # The point at an end of its summand has a neighbour across
-            # the junction there when the next summand has an endpoint.
-            return PointFacts(
-                i == 0 and f.is_min,
-                i == last and f.is_max,
-                f.has_successor
-                or (f.is_max and i < last and profile(parts[i + 1]).has_left_endpoint),
-                f.has_predecessor
-                or (f.is_min and i > 0 and profile(parts[i - 1]).has_right_endpoint),
-            )
-        case Product(parts):
-            # Fold the factors in from the left: (f*g)*...
-            f = _facts(parts[0], c[0])
-            for p, ci in zip(parts[1:], c[1:]):
-                g, q = _facts(p, ci), profile(p)
-                f = PointFacts(
-                    f.is_min and g.is_min,
-                    f.is_max and g.is_max,
-                    g.has_successor
-                    or (g.is_max and f.has_successor and q.has_left_endpoint),
-                    g.has_predecessor
-                    or (g.is_min and f.has_predecessor and q.has_right_endpoint),
-                )
-            return f
-        case Shuffle(blocks):
-            f = _facts(blocks[len(c[0]) % len(blocks)], c[1])
-            # The positions around any copy are dense, so neighbours
-            # exist only inside the copy.
-            return PointFacts(False, False, f.has_successor, f.has_predecessor)
-    raise AssertionError
-
-
-def point_profile(t: OrderTerm, c: PointCode) -> PointFacts:
-    """Exact endpoint/neighbour facts about the point c in the whole order."""
-    t = desugar(t)
-    _check(t, c)
-    return _facts(t, c)
 
 
 def _pos_between(lo: str | None, hi: str | None) -> str:
@@ -194,68 +82,249 @@ def _pos_between(lo: str | None, hi: str | None) -> str:
             return m
 
 
-def _image(t: OrderTerm, lo: PointCode | None, hi: PointCode | None) -> PointCode | None:
-    # Some point of t strictly between lo and hi, where None leaves that
-    # side open; None when there is no such point.  With both sides open
-    # it is the first point that enumerate_points yields.
+# ---------------------------------------------------------------------------
+# realizations: one object per node of a desugared term, built once per call
+#
+# Each has check(c), which raises InvalidCodeError unless c is one of its
+# points; key(c), a value whose native ordering is the point order;
+# facts(c), the PointFacts of c; image(lo, hi), some point strictly
+# between lo and hi, where None leaves that side open, or None when there
+# is no such point (with both sides open, the first point that
+# enumerate_points yields).
+
+
+def _reject(r, c: PointCode):
+    raise InvalidCodeError(f"code {c!r} is not a point of {print_term(r.t)}")
+
+
+class _Ints:
+    """1, n, N and Z: the integers c with low <= c < n, where None leaves
+    that side unbounded."""
+
+    def __init__(self, t: OrderTerm, low: int | None, n: int | None) -> None:
+        self.t, self.low, self.n = t, low, n
+
+    def check(self, c: PointCode) -> None:
+        if not (type(c) is int and (self.low is None or c >= self.low)
+                and (self.n is None or c < self.n)):
+            _reject(self, c)
+
+    def key(self, c: int):
+        return c
+
+    def facts(self, c: int) -> PointFacts:
+        low, n = self.low, self.n
+        return PointFacts(c == low, n is not None and c == n - 1,
+                          n is None or c < n - 1, low is None or c > low)
+
+    def image(self, lo: int | None, hi: int | None) -> int | None:
+        # The code just above lo, else just below hi, else 0.
+        r = lo + 1 if lo is not None else 0 if hi is None else hi - 1
+        end = self.n if hi is None else hi
+        return r if (end is None or r < end) and (self.low is None or r >= self.low) else None
+
+
+class _Down(_Ints):
+    """N~: code c is the c-th point below the maximum, N read downwards."""
+
+    def key(self, c: int):
+        return -c
+
+    def facts(self, c: int) -> PointFacts:
+        f = super().facts(c)
+        return PointFacts(f.is_max, f.is_min, f.has_predecessor, f.has_successor)
+
+    def image(self, lo: int | None, hi: int | None) -> int | None:
+        return super().image(hi, lo)
+
+
+class _Copies:
+    """A sum or a shuffle: point (i, c) is point c of copy i, which is
+    summand i of a sum, or the block of a shuffle's copy at position i."""
+
+    def check(self, c: PointCode) -> None:
+        # A summand number or a tree position, and a code in that copy.
+        if not (isinstance(c, tuple) and len(c) == 2 and self.names(c[0])):
+            _reject(self, c)
+        self.copy(c[0]).check(c[1])
+
+    def image(self, lo: tuple | None, hi: tuple | None) -> tuple | None:
+        i = None if lo is None else lo[0]
+        j = None if hi is None else hi[0]
+        tries = [(i, lo[1], hi[1])] if i is not None and i == j else self.tries(lo, hi, i, j)
+        for n, a, b in tries:
+            r = self.copy(n).image(a, b)
+            if r is not None:
+                return n, r
+        return None
+
+
+class _Sum(_Copies):
+    def __init__(self, t: OrderTerm, parts: tuple) -> None:
+        self.t, self.parts = t, parts
+        # The point at an end of summand i has a neighbour across the
+        # junction there when the next summand has an endpoint.
+        ends = list(map(profile, t.parts))
+        self.succ_across = [q.has_left_endpoint for q in ends[1:]] + [False]
+        self.pred_across = [False] + [q.has_right_endpoint for q in ends[:-1]]
+
+    def names(self, i) -> bool:
+        return type(i) is int and 0 <= i < len(self.parts)
+
+    def copy(self, i: int):
+        return self.parts[i]
+
+    def key(self, c: tuple):
+        return c[0], self.parts[c[0]].key(c[1])
+
+    def facts(self, c: tuple) -> PointFacts:
+        i, inner = c
+        f = self.parts[i].facts(inner)
+        return PointFacts(
+            i == 0 and f.is_min,
+            i == len(self.parts) - 1 and f.is_max,
+            f.has_successor or (f.is_max and self.succ_across[i]),
+            f.has_predecessor or (f.is_min and self.pred_across[i]),
+        )
+
+    def tries(self, lo, hi, i, j) -> list:
+        # lo's summand above lo, the summand after lo's (summand 0 when
+        # lo is open), then hi's below hi; hi's first if lo is open.
+        n = 0 if i is None else i + 1
+        tries = [] if lo is None else [(i, lo[1], None)]
+        if n < (len(self.parts) if j is None else j):
+            tries.append((n, None, None))
+        if hi is not None:
+            tries.insert(0 if lo is None else len(tries), (j, None, hi[1]))
+        return tries
+
+
+class _Shuffle(_Copies):
+    def __init__(self, t: OrderTerm, blocks: tuple) -> None:
+        self.t, self.blocks = t, blocks
+
+    def names(self, pos) -> bool:
+        return isinstance(pos, str) and all(ch in "LR" for ch in pos)
+
+    def copy(self, pos: str):
+        return self.blocks[len(pos) % len(self.blocks)]
+
+    def key(self, c: tuple):
+        return _pos_key(c[0]), self.copy(c[0]).key(c[1])
+
+    def facts(self, c: tuple) -> PointFacts:
+        f = self.copy(c[0]).facts(c[1])
+        # The positions around any copy are dense, so neighbours exist
+        # only inside the copy.
+        return PointFacts(False, False, f.has_successor, f.has_predecessor)
+
+    def tries(self, lo, hi, i, j) -> list:
+        # The bounded side's copy when the other side is open, then the
+        # copy at the shortest tree position between theirs.
+        one = (lo is None) != (hi is None)
+        tries = [((i, lo[1], None) if hi is None else (j, None, hi[1]))] if one else []
+        tries.append((_pos_between(i, j), None, None))
+        return tries
+
+
+class _Product:
+    def __init__(self, t: OrderTerm, parts: tuple) -> None:
+        self.t, self.parts = t, parts
+        # Each later factor with its profile, whose endpoints join copies.
+        self.later = tuple(zip(parts[1:], map(profile, t.parts[1:])))
+
+    def check(self, c: PointCode) -> None:
+        if not (isinstance(c, tuple) and len(c) == len(self.parts)):
+            _reject(self, c)
+        for p, ci in zip(self.parts, c):
+            p.check(ci)
+
+    def key(self, c: tuple):
+        return tuple([p.key(ci) for p, ci in zip(self.parts, c)])
+
+    def facts(self, c: tuple) -> PointFacts:
+        # Fold the factors in from the left: (f*g)*...
+        f = self.parts[0].facts(c[0])
+        for (p, q), ci in zip(self.later, c[1:]):
+            g = p.facts(ci)
+            f = PointFacts(
+                f.is_min and g.is_min,
+                f.is_max and g.is_max,
+                g.has_successor or (g.is_max and f.has_successor and q.has_left_endpoint),
+                g.has_predecessor or (g.is_min and f.has_predecessor and q.has_right_endpoint),
+            )
+        return f
+
+    def image(self, lo: tuple | None, hi: tuple | None) -> tuple | None:
+        # Last factor first, above lo's code down to the first factor
+        # where lo and hi differ, between them there, then below hi's
+        # (last first if lo is open); later factors take their first.
+        parts = self.parts
+        k = len(parts)
+        if lo is not None and hi is not None:
+            d = next(n for n in range(k) if lo[n] != hi[n])
+            tries = [(n, lo, lo[n], None) for n in range(k - 1, d, -1)]
+            tries += [(d, lo, lo[d], hi[d]), *((n, hi, None, hi[n]) for n in range(d + 1, k))]
+        elif lo is not None:
+            tries = [(n, lo, lo[n], None) for n in range(k - 1, -1, -1)]
+        elif hi is not None:
+            tries = [(n, hi, None, hi[n]) for n in range(k - 1, -1, -1)]
+        else:
+            tries = [(0, (), None, None)]
+        for n, code, a, b in tries:
+            r = parts[n].image(a, b)
+            if r is not None:
+                return (*code[:n], r, *(p.image(None, None) for p in parts[n + 1:]))
+        return None
+
+
+class _Empty(_Ints):
+    """0: no integer c has 0 <= c < 0."""
+
+    def check(self, c: PointCode) -> None:
+        raise InvalidCodeError("the empty order has no points")
+
+
+def _realize(t: OrderTerm):
+    # The realization of a desugared term.
     match t:
-        case Finite() | Omega() | Zeta():
-            # The code just above lo, else just below hi, else 0.  Only Z
-            # has negative codes.
-            r = lo + 1 if lo is not None else 0 if hi is None else hi - 1
-            end = hi if hi is not None else t.n if isinstance(t, Finite) else None
-            return r if (end is None or r < end) and (r >= 0 or isinstance(t, Zeta)) else None
-        case OmegaStar():
-            # Code c is the c-th point below the maximum: N read downwards.
-            return _image(_OMEGA, hi, lo)
         case Single():
-            return 0 if lo is None and hi is None else None
-        case Sum(parts) | Shuffle(parts):
-            i = None if lo is None else lo[0]
-            j = None if hi is None else hi[0]
-            if i is not None and i == j:
-                tries = [(i, lo[1], hi[1])]
-            elif isinstance(t, Shuffle):
-                # The bounded side's copy when the other side is open, then
-                # the copy at the shortest tree position between theirs.
-                one = (lo is None) != (hi is None)
-                tries = [((i, lo[1], None) if hi is None else (j, None, hi[1]))] if one else []
-                tries.append((_pos_between(i, j), None, None))
-            else:
-                # lo's summand above lo, the summand after lo's (summand 0
-                # when lo is open), then hi's below hi; hi's first if lo is open.
-                n = 0 if i is None else i + 1
-                tries = [] if lo is None else [(i, lo[1], None)]
-                if n < (len(parts) if j is None else j):
-                    tries.append((n, None, None))
-                if hi is not None:
-                    tries.insert(0 if lo is None else len(tries), (j, None, hi[1]))
-            for n, a, b in tries:
-                r = _image(_copy(t, n), a, b)
-                if r is not None:
-                    return n, r
-            return None
+            return _Ints(t, 0, 1)
+        case Finite(n):
+            return _Ints(t, 0, n)
+        case Omega():
+            return _Ints(t, 0, None)
+        case Zeta():
+            return _Ints(t, None, None)
+        case OmegaStar():
+            return _Down(t, 0, None)
+        case Sum(parts):
+            return _Sum(t, tuple(map(_realize, parts)))
         case Product(parts):
-            # Last factor first, above lo's code down to the first factor
-            # where lo and hi differ, between them there, then below hi's
-            # (last first if lo is open); later factors take their first.
-            k = len(parts)
-            if lo is not None and hi is not None:
-                d = next(n for n in range(k) if lo[n] != hi[n])
-                tries = [(n, lo, lo[n], None) for n in range(k - 1, d, -1)]
-                tries += [(d, lo, lo[d], hi[d]), *((n, hi, None, hi[n]) for n in range(d + 1, k))]
-            elif lo is not None:
-                tries = [(n, lo, lo[n], None) for n in range(k - 1, -1, -1)]
-            elif hi is not None:
-                tries = [(n, hi, None, hi[n]) for n in range(k - 1, -1, -1)]
-            else:
-                tries = [(0, (), None, None)]
-            for n, code, a, b in tries:
-                r = _image(parts[n], a, b)
-                if r is not None:
-                    return (*code[:n], r, *(_image(p, None, None) for p in parts[n + 1:]))
-            return None
-    return None  # the empty order
+            return _Product(t, tuple(map(_realize, parts)))
+        case Shuffle(blocks):
+            return _Shuffle(t, tuple(map(_realize, blocks)))
+    return _Empty(t, 0, 0)
+
+
+def _checked(t: OrderTerm, *codes: PointCode):
+    # The realization of t, once each code is checked to be one of its points.
+    r = _realize(desugar(t))
+    for c in codes:
+        r.check(c)
+    return r
+
+
+def compare(t: OrderTerm, a: PointCode, b: PointCode) -> int:
+    """Total-order comparison: -1, 0, or 1."""
+    r = _checked(t, a, b)
+    ka, kb = r.key(a), r.key(b)
+    return (ka > kb) - (ka < kb)
+
+
+def point_profile(t: OrderTerm, c: PointCode) -> PointFacts:
+    """Exact endpoint/neighbour facts about the point c in the whole order."""
+    return _checked(t, c).facts(c)
 
 
 def between(t: OrderTerm, a: PointCode, b: PointCode) -> PointCode | None:
@@ -269,12 +338,10 @@ def between(t: OrderTerm, a: PointCode, b: PointCode) -> PointCode | None:
     position between theirs.  A product chooses as (p1*p2)*p3 does, as
     p1*p2-many copies of p3.
     """
-    t = desugar(t)
-    _check(t, a)
-    _check(t, b)
-    if not _key(t, a) < _key(t, b):
+    r = _checked(t, a, b)
+    if not r.key(a) < r.key(b):
         raise InvalidCodeError("between requires a < b")
-    return _image(t, a, b)
+    return r.image(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -401,12 +468,11 @@ class _Pairs:
                 self.codes[s].insert(i, c)
         return i, tgt
 
-    def place_point(self, terms: tuple[OrderTerm, OrderTerm], side: int,
-                    code: PointCode) -> PointCode | None:
-        # place() for a point of terms[side], imaged into terms[1 - side].
-        src, tgt = terms[side], terms[1 - side]
-        return self.place(side, _key(src, code), code,
-                          lambda lo, hi: _image(tgt, lo, hi), lambda c: _key(tgt, c))[1]
+    def place_point(self, reals: tuple, side: int, code: PointCode) -> PointCode | None:
+        # place() for a point of the realization reals[side], imaged
+        # into reals[1 - side].
+        src, tgt = reals[side], reals[1 - side]
+        return self.place(side, src.key(code), code, tgt.image, tgt.key)[1]
 
 
 def _fresh_codes(t: OrderTerm, used: set):
@@ -460,9 +526,9 @@ def back_and_forth(x: OrderTerm, y: OrderTerm, rounds: int,
     y = desugar(y)
     if block_map is not None:
         return _colored(x, y, rounds, block_map)
-    matched = _Pairs()
+    matched, reals = _Pairs(), (_realize(x), _realize(y))
     return _match_rounds(x, y, rounds,
-                         lambda side, src: matched.place_point((x, y), side, src),
+                         lambda side, src: matched.place_point(reals, side, src),
                          "no order-consistent image exists")
 
 
@@ -487,7 +553,7 @@ def _colored(x: OrderTerm, y: OrderTerm, rounds: int,
     kx, ky = len(x.blocks), len(y.blocks)
     if sorted(block_map) != list(range(kx)) or sorted(block_map.values()) != list(range(ky)):
         raise InvalidCodeError("block_map must biject the block indices")
-    shuffles = (x, y)
+    shuffles = (_realize(x), _realize(y))
     fwd = (block_map, {v: k for k, v in block_map.items()})
     copies = _Pairs()  # matched copy positions
     inside: list[_Pairs] = []  # inside[i]: the pairs matched within copy pair i
@@ -502,7 +568,7 @@ def _colored(x: OrderTerm, y: OrderTerm, rounds: int,
             i, _ = copies.place(side, key, pos,
                                 lambda lo, hi: _pos_find(lo, hi, residue, k_tgt), _pos_key)
             inside.insert(i, _Pairs())
-        blocks = (_copy(x, copies.codes[0][i]), _copy(y, copies.codes[1][i]))
+        blocks = (shuffles[0].copy(copies.codes[0][i]), shuffles[1].copy(copies.codes[1][i]))
         j = inside[i].place_point(blocks, side, inner)
         return None if j is None else (copies.codes[1 - side][i], j)
 
@@ -560,7 +626,8 @@ def cross_check(t: OrderTerm, budget: int) -> CheckReport:
     text = print_term(t)
     p = profile(t)
     pts = enumerate_points(t, budget)
-    facts = [(c, _facts(t, c)) for c in pts]
+    r = _realize(t)
+    facts = [(c, r.facts(c)) for c in pts]
     outcomes: list[Outcome] = []
 
     def claim(name: str, some: bool, has) -> None:
@@ -572,7 +639,7 @@ def cross_check(t: OrderTerm, budget: int) -> CheckReport:
                 return
         outcomes.append(Outcome(name, "witness_not_found" if some else "consistent"))
 
-    ordered = sorted(pts, key=lambda c: _key(t, c))
+    ordered = sorted(pts, key=r.key)
     # An endpoint, if any sample is one, must be the first (last) sample.
     for side, some, is_end, end in (("left", p.has_left_endpoint, lambda f: f.is_min, 0),
                                     ("right", p.has_right_endpoint, lambda f: f.is_max, -1)):
@@ -588,7 +655,7 @@ def cross_check(t: OrderTerm, budget: int) -> CheckReport:
     if p.succ_pair_free:
         gap = None
         for a, b in zip(ordered, ordered[1:]):
-            if _image(t, a, b) is None:
+            if r.image(a, b) is None:
                 gap = (a, b)
                 break
         if gap is None:

@@ -4,7 +4,7 @@
 0 + X + 0 are X.  For each of the 200 terms X of the verdict corpus and
 the first 200 terms of ``shaped_terms(1, ...)``, of the paper's shape
 L + Q[blocks] + R (fixed prefixes of seeded streams, not chosen by
-outcome), and each of the ten ``A_TERMS``, wherever both sides give a
+outcome), and each left factor A of ``LEFT``, wherever both sides give a
 verdict within the call budget:
 
 - mirror: ``absorbs(A, X) == absorbs(A~, X~)``;
@@ -54,7 +54,11 @@ from ordercalc import (
 CORPUS = Path(__file__).with_name("verdict_corpus.jsonl")
 SHAPES = shaped_terms(1, 200)
 BUDGET_CALLS = 200_000  # per query, as for the verdict corpus
-A = [T(a) for a in A_TERMS]
+# The ten A_TERMS, and two with both endpoints and exactly one of
+# successor- and predecessor-completeness, which tell rows 5, 6 and 7 of
+# classify._CASES apart.
+LEFT = A_TERMS + ["N+1", "1+N~"]
+A = [T(a) for a in LEFT]
 _NONE = object()  # no verdict
 
 
@@ -82,7 +86,7 @@ def test_identities_of_products_hold(text):
     cx = _verdict(canonicalize, x)
     violations = []
     absorbed = []
-    for a, a_text in zip(A, A_TERMS):
+    for a, a_text in zip(A, LEFT):
         v = _verdict(absorbs, a, x)
         mirrored = _verdict(absorbs, Reverse(a), Reverse(x))
         if not _agree(v, mirrored):

@@ -5,13 +5,23 @@ import random
 from functools import cmp_to_key
 
 import pytest
+from hypothesis import example, given, seed, settings
 
-from conftest import GOLDEN, T
+from conftest import GOLDEN, T, term_strategy
 from ordercalc import oracle
 from ordercalc import (
+    Finite,
     InvalidCodeError,
     MatchFailure,
+    Omega,
+    OmegaStar,
     PartialIso,
+    Product,
+    Reverse,
+    Shuffle,
+    Single,
+    Sum,
+    Zeta,
     back_and_forth,
     between,
     compare,
@@ -301,9 +311,9 @@ def test_cross_check_reports_a_wrong_profile(monkeypatch, src, wrong, text):
 
 def test_cross_check_reports_a_misplaced_endpoint(monkeypatch):
     # Point 1 of 3 claims to be both endpoints.
-    right = oracle._facts
-    monkeypatch.setattr(oracle, "_facts", lambda t, c: (
-        right(t, c)._replace(is_min=True, is_max=True) if c == 1 else right(t, c)))
+    right = oracle._Ints.facts
+    monkeypatch.setattr(oracle._Ints, "facts", lambda self, c: (
+        right(self, c)._replace(is_min=True, is_max=True) if c == 1 else right(self, c)))
     assert cross_check(T("3"), 12).to_text() == (
         "check 3 budget=12 points=3\n"
         "  left_endpoint: witness_found 0\n"
@@ -392,6 +402,18 @@ def test_between_agrees_with_successors(src):
             assert compare(t, mid, b) == -1
 
 
+@given(term_strategy())
+@example(Shuffle((OmegaStar(),)))
+@example(Product(Shuffle((Sum(OmegaStar(), Single()), Zeta())), OmegaStar()))
+@settings(max_examples=250, deadline=None)
+@seed(20231022)
+def test_cross_check_finds_no_counterexample_on_generated_terms(t):
+    # Every profile claim holds on the first 200 points of a generated
+    # term; the examples make sure a shuffle of N~ is among them.
+    report = cross_check(t, 200)
+    assert not report.failed, report.to_text()
+
+
 def _dense_term(rng, depth):
     # A dense order without endpoints, built from Q, shuffles of dense
     # blocks and single points, sums, and products with such a fiber.
@@ -429,3 +451,42 @@ def test_back_and_forth_pairs_preserve_order(seed):
     _check_partial_iso(x, y, result.pairs)
     for (pos_x, _), (pos_y, _) in result.pairs:
         assert block_map[len(pos_x) % len(blocks)] == len(pos_y) % len(blocks)
+
+
+_ATOMS = [Single(), Finite(2), Finite(3), Omega(), OmegaStar(), Zeta()]
+
+
+def _random_term(rng, leaves):
+    # A term over the atoms by sum, product, shuffle and reversal, as
+    # conftest.term_strategy draws them, but from random.Random, so that a
+    # pinned digest does not depend on the hypothesis version.
+    if leaves <= 1:
+        return rng.choice(_ATOMS)
+    r = rng.random()
+    if r < 0.15:
+        return Reverse(_random_term(rng, leaves - 1))
+    if r < 0.35:
+        k = rng.randint(1, 3)
+        return Shuffle(tuple(_random_term(rng, leaves // k) for _ in range(k)))
+    cut = rng.randint(1, leaves - 1)
+    return (Sum if r < 0.7 else Product)(_random_term(rng, cut), _random_term(rng, leaves - cut))
+
+
+def test_point_queries_on_generated_terms_are_pinned():
+    # The first 300 terms of a seeded stream: each term's cross-check
+    # report, then compare and between on every ordered pair of its first
+    # 12 points and the profile of each point, all in one digest.
+    rng = random.Random(22)
+    h = hashlib.sha256()
+    for _ in range(300):
+        t = _random_term(rng, rng.randint(1, 8))
+        h.update(cross_check(t, 100).to_text().encode())
+        pts = enumerate_points(t, 12)
+        for a, b in itertools.product(pts, repeat=2):
+            try:
+                mid = between(t, a, b)
+            except InvalidCodeError:
+                mid = "none: a >= b"
+            h.update(repr((compare(t, a, b), mid)).encode())
+        h.update(repr([point_profile(t, c) for c in pts]).encode())
+    assert h.hexdigest() == "1cd17fc652293df52bf490889d767198af9a6e20f574d08950384ddafea480a0"
