@@ -9,9 +9,10 @@ blocks.  Each depth class is dense in the tree order, so this is a fixed
 concrete realization of the dense partition.
 
 Each public call realizes its desugared term once, as a tree of small
-objects, one per node, that check, order, describe and choose points by
-their codes.  Building it, like every walk over codes, recurses once per
-bracket level, not once per part.
+objects, one per node, that check, order, describe, enumerate and choose
+points by their codes.  Building it, like every walk over codes, recurses
+once per bracket level, not once per part.  Enumeration yields each code
+as it is found and keeps no table from one call to the next.
 
 Comparison, neighbourhood facts, betweenness, fair enumeration, the
 back-and-forth construction, and a consistency checker against the
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from functools import cache
 from typing import NamedTuple
 
 from .profiles import profile
@@ -66,20 +66,23 @@ def _pos_key(pos: str) -> str:
 
 
 def _pos_between(lo: str | None, hi: str | None) -> str:
-    # A tree node strictly between lo and hi in infix order (None: open).
+    # The first tree node strictly between lo and hi in infix order (None:
+    # open) that the descent from the root meets.
     if lo is None:
         return "" if hi is None else hi + "L"
     if hi is None:
         return lo + "R"
-    m = ""
-    lo_key, hi_key = _pos_key(lo), _pos_key(hi)
-    while True:
-        if _pos_key(m) <= lo_key:
-            m += "R"
-        elif _pos_key(m) >= hi_key:
-            m += "L"
-        else:
-            return m
+    n = 0  # the length of their common prefix, which ends where they meet
+    for a, b in zip(lo, hi):
+        if a != b:
+            return lo[:n]  # lo is left of their meet and hi right of it
+        n += 1
+    # One is below the other, at its right child (lo above) or left child
+    # (hi above): follow the lower one's turns back towards the upper one.
+    low, back = (hi, "L") if n == len(lo) else (lo, "R")
+    rest = low[n + 1:]
+    turn = len(rest) - len(rest.lstrip(back))
+    return low + back if turn == len(rest) else low[:n + 1 + turn]
 
 
 # ---------------------------------------------------------------------------
@@ -87,10 +90,14 @@ def _pos_between(lo: str | None, hi: str | None) -> str:
 #
 # Each has check(c), which raises InvalidCodeError unless c is one of its
 # points; key(c), a value whose native ordering is the point order;
-# facts(c), the PointFacts of c; image(lo, hi), some point strictly
-# between lo and hi, where None leaves that side open, or None when there
-# is no such point (with both sides open, the first point that
-# enumerate_points yields).
+# facts(c), the PointFacts fields of c as a plain tuple; image(lo, hi),
+# some point strictly between lo and hi, where None leaves that side
+# open, or None when there is no such point; first, the image with both
+# sides open, which is the first point enumerated; has_min and has_max,
+# whether the order has a least and a greatest point; codes(w), its codes
+# of weight w in enumeration order, and weight_class(w), the same as a
+# tuple; and maxw, its greatest weight, None when every weight has codes
+# (every weight up to maxw does).
 
 
 def _reject(r, c: PointCode):
@@ -103,6 +110,9 @@ class _Ints:
 
     def __init__(self, t: OrderTerm, low: int | None, n: int | None) -> None:
         self.t, self.low, self.n = t, low, n
+        self.has_min, self.has_max = low is not None, n is not None
+        self.first = self.image(None, None)
+        self.maxw = None if n is None else n - 1
 
     def check(self, c: PointCode) -> None:
         if not (type(c) is int and (self.low is None or c >= self.low)
@@ -112,10 +122,9 @@ class _Ints:
     def key(self, c: int):
         return c
 
-    def facts(self, c: int) -> PointFacts:
+    def facts(self, c: int) -> tuple:
         low, n = self.low, self.n
-        return PointFacts(c == low, n is not None and c == n - 1,
-                          n is None or c < n - 1, low is None or c > low)
+        return c == low, n is not None and c == n - 1, n is None or c < n - 1, low is None or c > low
 
     def image(self, lo: int | None, hi: int | None) -> int | None:
         # The code just above lo, else just below hi, else 0.
@@ -123,22 +132,45 @@ class _Ints:
         end = self.n if hi is None else hi
         return r if (end is None or r < end) and (self.low is None or r >= self.low) else None
 
+    def codes(self, w: int) -> tuple:
+        # Weight |c|, the negative first.
+        if self.low is None:
+            return (0,) if w == 0 else (-w, w)
+        return (w,) if self.n is None or w < self.n else ()
+
+    weight_class = codes
+
 
 class _Down(_Ints):
     """N~: code c is the c-th point below the maximum, N read downwards."""
 
+    def __init__(self, t: OrderTerm, low: int | None, n: int | None) -> None:
+        super().__init__(t, low, n)
+        self.has_min, self.has_max = self.has_max, self.has_min
+
     def key(self, c: int):
         return -c
 
-    def facts(self, c: int) -> PointFacts:
-        f = super().facts(c)
-        return PointFacts(f.is_max, f.is_min, f.has_predecessor, f.has_successor)
+    def facts(self, c: int) -> tuple:
+        is_min, is_max, succ, pred = super().facts(c)
+        return is_max, is_min, pred, succ
 
     def image(self, lo: int | None, hi: int | None) -> int | None:
         return super().image(hi, lo)
 
 
-class _Copies:
+class _Node:
+    """A sum, shuffle or product, whose codes of one weight are kept once
+    built, for the products and shuffles above it that ask for them again."""
+
+    def weight_class(self, w: int) -> tuple:
+        out = self.memo.get(w)
+        if out is None:
+            out = self.memo[w] = tuple(self.codes(w))
+        return out
+
+
+class _Copies(_Node):
     """A sum or a shuffle: point (i, c) is point c of copy i, which is
     summand i of a sum, or the block of a shuffle's copy at position i."""
 
@@ -151,8 +183,12 @@ class _Copies:
     def image(self, lo: tuple | None, hi: tuple | None) -> tuple | None:
         i = None if lo is None else lo[0]
         j = None if hi is None else hi[0]
-        tries = [(i, lo[1], hi[1])] if i is not None and i == j else self.tries(lo, hi, i, j)
-        for n, a, b in tries:
+        if i == j:
+            if i is None:
+                return self.first
+            r = self.copy(i).image(lo[1], hi[1])
+            return None if r is None else (i, r)
+        for n, a, b in self.tries(lo, hi, i, j):
             r = self.copy(n).image(a, b)
             if r is not None:
                 return n, r
@@ -161,12 +197,15 @@ class _Copies:
 
 class _Sum(_Copies):
     def __init__(self, t: OrderTerm, parts: tuple) -> None:
-        self.t, self.parts = t, parts
+        self.t, self.parts, self.memo = t, parts, {}
+        self.has_min, self.has_max = parts[0].has_min, parts[-1].has_max
         # The point at an end of summand i has a neighbour across the
         # junction there when the next summand has an endpoint.
-        ends = list(map(profile, t.parts))
-        self.succ_across = [q.has_left_endpoint for q in ends[1:]] + [False]
-        self.pred_across = [False] + [q.has_right_endpoint for q in ends[:-1]]
+        self.succ_across = [p.has_min for p in parts[1:]] + [False]
+        self.pred_across = [False] + [p.has_max for p in parts[:-1]]
+        self.first = 0, parts[0].first
+        ws = [p.maxw for p in parts]
+        self.maxw = None if None in ws else max(ws[0], 1 + max(ws[1:]))
 
     def names(self, i) -> bool:
         return type(i) is int and 0 <= i < len(self.parts)
@@ -177,15 +216,11 @@ class _Sum(_Copies):
     def key(self, c: tuple):
         return c[0], self.parts[c[0]].key(c[1])
 
-    def facts(self, c: tuple) -> PointFacts:
+    def facts(self, c: tuple) -> tuple:
         i, inner = c
-        f = self.parts[i].facts(inner)
-        return PointFacts(
-            i == 0 and f.is_min,
-            i == len(self.parts) - 1 and f.is_max,
-            f.has_successor or (f.is_max and self.succ_across[i]),
-            f.has_predecessor or (f.is_min and self.pred_across[i]),
-        )
+        is_min, is_max, succ, pred = self.parts[i].facts(inner)
+        return (i == 0 and is_min, i == len(self.parts) - 1 and is_max,
+                succ or (is_max and self.succ_across[i]), pred or (is_min and self.pred_across[i]))
 
     def tries(self, lo, hi, i, j) -> list:
         # lo's summand above lo, the summand after lo's (summand 0 when
@@ -198,25 +233,36 @@ class _Sum(_Copies):
             tries.insert(0 if lo is None else len(tries), (j, None, hi[1]))
         return tries
 
+    def codes(self, w: int) -> list:
+        # Summand 0 costs nothing, every later summand costs 1.
+        out = [(0, c) for c in self.parts[0].weight_class(w)]
+        if w:
+            out += [(i, c) for i, p in enumerate(self.parts[1:], 1) for c in p.weight_class(w - 1)]
+        return out
+
 
 class _Shuffle(_Copies):
     def __init__(self, t: OrderTerm, blocks: tuple) -> None:
-        self.t, self.blocks = t, blocks
+        self.t, self.blocks, self.k, self.memo = t, blocks, len(blocks), {}
+        self.has_min = self.has_max = False
+        self.first = "", blocks[0].first
+        self.maxw = None
 
     def names(self, pos) -> bool:
         return isinstance(pos, str) and all(ch in "LR" for ch in pos)
 
     def copy(self, pos: str):
-        return self.blocks[len(pos) % len(self.blocks)]
+        return self.blocks[len(pos) % self.k]
 
     def key(self, c: tuple):
-        return _pos_key(c[0]), self.copy(c[0]).key(c[1])
+        pos = c[0]
+        return pos.translate(_POS_DIGITS) + "1", self.blocks[len(pos) % self.k].key(c[1])
 
-    def facts(self, c: tuple) -> PointFacts:
-        f = self.copy(c[0]).facts(c[1])
+    def facts(self, c: tuple) -> tuple:
+        _, _, succ, pred = self.copy(c[0]).facts(c[1])
         # The positions around any copy are dense, so neighbours exist
         # only inside the copy.
-        return PointFacts(False, False, f.has_successor, f.has_predecessor)
+        return False, False, succ, pred
 
     def tries(self, lo, hi, i, j) -> list:
         # The bounded side's copy when the other side is open, then the
@@ -226,12 +272,27 @@ class _Shuffle(_Copies):
         tries.append((_pos_between(i, j), None, None))
         return tries
 
+    def codes(self, w: int) -> list:
+        # Weight = depth of the position + weight inside its copy; shorter
+        # positions first, then L < R.
+        out = []
+        for length in range(w + 1):
+            inner = self.blocks[length % self.k].weight_class(w - length)
+            if inner:
+                out += [(pos, c) for pos in _strings(length) for c in inner]
+        return out
 
-class _Product:
+
+class _Product(_Node):
     def __init__(self, t: OrderTerm, parts: tuple) -> None:
-        self.t, self.parts = t, parts
-        # Each later factor with its profile, whose endpoints join copies.
-        self.later = tuple(zip(parts[1:], map(profile, t.parts[1:])))
+        self.t, self.parts, self.memo = t, parts, {}
+        self.has_min = all(p.has_min for p in parts)
+        self.has_max = all(p.has_max for p in parts)
+        self.first = tuple(p.first for p in parts)
+        # caps[j]: the greatest weight that factors 0..j carry together.
+        self.caps = list(itertools.accumulate(
+            (p.maxw for p in parts), lambda a, b: None if a is None or b is None else a + b))
+        self.maxw = self.caps[-1]
 
     def check(self, c: PointCode) -> None:
         if not (isinstance(c, tuple) and len(c) == len(self.parts)):
@@ -242,18 +303,16 @@ class _Product:
     def key(self, c: tuple):
         return tuple([p.key(ci) for p, ci in zip(self.parts, c)])
 
-    def facts(self, c: tuple) -> PointFacts:
-        # Fold the factors in from the left: (f*g)*...
-        f = self.parts[0].facts(c[0])
-        for (p, q), ci in zip(self.later, c[1:]):
-            g = p.facts(ci)
-            f = PointFacts(
-                f.is_min and g.is_min,
-                f.is_max and g.is_max,
-                g.has_successor or (g.is_max and f.has_successor and q.has_left_endpoint),
-                g.has_predecessor or (g.is_min and f.has_predecessor and q.has_right_endpoint),
-            )
-        return f
+    def facts(self, c: tuple) -> tuple:
+        # Fold the factors in from the left: (f*g)*...  A later factor's
+        # endpoints join the copies of the product before it.
+        is_min, is_max, succ, pred = self.parts[0].facts(c[0])
+        for p, ci in zip(self.parts[1:], c[1:]):
+            g_min, g_max, g_succ, g_pred = p.facts(ci)
+            is_min, is_max, succ, pred = (is_min and g_min, is_max and g_max,
+                                          g_succ or (g_max and succ and p.has_min),
+                                          g_pred or (g_min and pred and p.has_max))
+        return is_min, is_max, succ, pred
 
     def image(self, lo: tuple | None, hi: tuple | None) -> tuple | None:
         # Last factor first, above lo's code down to the first factor
@@ -270,12 +329,43 @@ class _Product:
         elif hi is not None:
             tries = [(n, hi, None, hi[n]) for n in range(k - 1, -1, -1)]
         else:
-            tries = [(0, (), None, None)]
+            return self.first
         for n, code, a, b in tries:
             r = parts[n].image(a, b)
             if r is not None:
-                return (*code[:n], r, *(p.image(None, None) for p in parts[n + 1:]))
+                return code[:n] + (r,) + self.first[n + 1:]
         return None
+
+    def codes(self, w: int):
+        # As ((p1*p2)*p3)*... splits w among the factors: the last
+        # factor's weight falls slowest, from the most it can take, then
+        # the weight of the one before it, and so on.  Each split gives
+        # its factors' codes in product order.
+        parts, caps, k = self.parts, self.caps, len(self.parts)
+        if caps[-1] is not None and w > caps[-1]:
+            return
+        ws = [0] * k
+        j, rest = k - 1, w
+        while True:
+            while j > 0:  # factors j..1 take the most they can, factor 0 the rest
+                m = parts[j].maxw
+                ws[j] = rest if m is None or m > rest else m
+                rest -= ws[j]
+                j -= 1
+            ws[0] = rest
+            yield from itertools.product(*[p.weight_class(v) for p, v in zip(parts, ws)])
+            # The next split: the first factor from the second on that can
+            # pass one unit of weight to those before it does, and they
+            # are refilled.
+            j = 1
+            while j < k and (ws[j] == 0 or (caps[j - 1] is not None and rest >= caps[j - 1])):
+                rest += ws[j]
+                j += 1
+            if j == k:
+                return
+            ws[j] -= 1
+            rest += 1
+            j -= 1
 
 
 class _Empty(_Ints):
@@ -324,7 +414,7 @@ def compare(t: OrderTerm, a: PointCode, b: PointCode) -> int:
 
 def point_profile(t: OrderTerm, c: PointCode) -> PointFacts:
     """Exact endpoint/neighbour facts about the point c in the whole order."""
-    return _checked(t, c).facts(c)
+    return PointFacts(*_checked(t, c).facts(c))
 
 
 def between(t: OrderTerm, a: PointCode, b: PointCode) -> PointCode | None:
@@ -349,74 +439,14 @@ def between(t: OrderTerm, a: PointCode, b: PointCode) -> PointCode | None:
 
 
 def _strings(length: int):
-    for tup in itertools.product("LR", repeat=length):
-        yield "".join(tup)
+    return map("".join, itertools.product("LR", repeat=length))
 
 
-def _split(table: list, p: OrderTerm, w: int) -> list:
-    # Pairs (a, c) of weight w, a of weight v in table[v] and c a code of
-    # p, least v first: the left-nested product's order, one factor on.
-    out = []
-    for v in range(w + 1):
-        if table[v]:
-            out.extend((a, c) for a in table[v] for c in _codes_of_weight(p, w - v))
-    return out
-
-
-def _unnest(code, k: int) -> tuple:
-    # ((c1, c2), ..., ck) -> (c1, ..., ck)
-    tail = []
-    for _ in range(k - 2):
-        code, c = code
-        tail.append(c)
-    return (*code, *reversed(tail))
-
-
-@cache
-def _codes_of_weight(t: OrderTerm, w: int) -> tuple:
-    match t:
-        case Single():
-            return (0,) if w == 0 else ()
-        case Finite(n):
-            return (w,) if w < n else ()
-        case Omega() | OmegaStar():
-            return (w,)
-        case Zeta():
-            return (0,) if w == 0 else (-w, w)
-        case Sum(parts):
-            # Summand 0 costs nothing, every later summand costs 1.
-            out = [(0, c) for c in _codes_of_weight(parts[0], w)]
-            if w >= 1:
-                for i, p in enumerate(parts[1:], 1):
-                    out.extend((i, c) for c in _codes_of_weight(p, w - 1))
-            return tuple(out)
-        case Product(parts):
-            table = [_codes_of_weight(parts[0], v) for v in range(w + 1)]
-            for p in parts[1:-1]:
-                table = [_split(table, p, v) for v in range(w + 1)]
-            codes, k = _split(table, parts[-1], w), len(parts)
-            return tuple(codes if k == 2 else (_unnest(c, k) for c in codes))
-        case Shuffle(blocks):
-            k = len(blocks)
-            out = []
-            for length in range(w + 1):
-                inner = _codes_of_weight(blocks[length % k], w - length)
-                if not inner:
-                    continue
-                for pos in _strings(length):
-                    out.extend((pos, c) for c in inner)
-            return tuple(out)
-    raise AssertionError
-
-
-def _enum_iter(t: OrderTerm):
-    size = profile(t).size
-    emitted = 0
+def _enum_iter(r):
+    # Every code of the realization r, one weight class after the other.
     w = 0
-    while size is None or emitted < size:
-        for c in _codes_of_weight(t, w):
-            yield c
-            emitted += 1
+    while r.maxw is None or w <= r.maxw:
+        yield from r.codes(w)
         w += 1
 
 
@@ -424,12 +454,11 @@ def enumerate_points(t: OrderTerm, n: int) -> list[PointCode]:
     """First n codes in weight order: value for naturals, |k| with the
     negative first for integers, length then L<R for positions.  Summand
     0 of a sum adds no weight and each later one 1, and a product splits
-    its weight as ((p1*p2)*p3)*... does.  Prefix-stable in n; returns
-    fewer than n codes only for finite orders with fewer points."""
-    t = desugar(t)
-    if t == Empty():
-        return []
-    return list(itertools.islice(_enum_iter(t), n))
+    its weight as ((p1*p2)*p3)*... does.  Each weight class is yielded
+    as it is found, so a long product costs its first n codes, not its
+    class.  Prefix-stable in n; returns fewer than n codes only for
+    finite orders with fewer points."""
+    return list(itertools.islice(_enum_iter(_realize(desugar(t))), n))
 
 
 # ---------------------------------------------------------------------------
@@ -463,9 +492,11 @@ class _Pairs:
         imgs = self.codes[1 - side]
         tgt = choose(imgs[i - 1] if i else None, imgs[i] if i < len(imgs) else None)
         if tgt is not None:
-            for s, k, c in ((side, key, code), (1 - side, key_of(tgt), tgt)):
-                self.keys[s].insert(i, k)
-                self.codes[s].insert(i, c)
+            keys, codes = self.keys, self.codes
+            keys[side].insert(i, key)
+            codes[side].insert(i, code)
+            keys[1 - side].insert(i, key_of(tgt))
+            codes[1 - side].insert(i, tgt)
         return i, tgt
 
     def place_point(self, reals: tuple, side: int, code: PointCode) -> PointCode | None:
@@ -475,14 +506,13 @@ class _Pairs:
         return self.place(side, src.key(code), code, tgt.image, tgt.key)[1]
 
 
-def _fresh_codes(t: OrderTerm, used: set):
-    for c in _enum_iter(t):
+def _fresh_codes(r, used: set):
+    for c in _enum_iter(r):
         if c not in used:
             yield c
 
 
-def _match_rounds(x: OrderTerm, y: OrderTerm, rounds: int, image,
-                  reason: str) -> PartialIso | MatchFailure:
+def _match_rounds(reals: tuple, rounds: int, image, reason: str) -> PartialIso | MatchFailure:
     # The round loop shared by both matchings: odd rounds take the
     # least-enumerated unmatched point of x, even rounds of y, and
     # image(side, src) picks its partner on the other side (None: no
@@ -491,7 +521,7 @@ def _match_rounds(x: OrderTerm, y: OrderTerm, rounds: int, image,
     # the verdict does not depend on the order of the arguments.
     pairs: list[tuple[PointCode, PointCode]] = []
     used = (set(), set())
-    gens = (_fresh_codes(x, used[0]), _fresh_codes(y, used[1]))
+    gens = (_fresh_codes(reals[0], used[0]), _fresh_codes(reals[1], used[1]))
     for r in range(1, rounds + 1):
         side = 0 if r % 2 == 1 else 1
         src = next(gens[side], None)
@@ -527,8 +557,7 @@ def back_and_forth(x: OrderTerm, y: OrderTerm, rounds: int,
     if block_map is not None:
         return _colored(x, y, rounds, block_map)
     matched, reals = _Pairs(), (_realize(x), _realize(y))
-    return _match_rounds(x, y, rounds,
-                         lambda side, src: matched.place_point(reals, side, src),
+    return _match_rounds(reals, rounds, lambda side, src: matched.place_point(reals, side, src),
                          "no order-consistent image exists")
 
 
@@ -572,7 +601,7 @@ def _colored(x: OrderTerm, y: OrderTerm, rounds: int,
         j = inside[i].place_point(blocks, side, inner)
         return None if j is None else (copies.codes[1 - side][i], j)
 
-    return _match_rounds(x, y, rounds, image,
+    return _match_rounds(shuffles, rounds, image,
                          "no order-consistent image inside the matched copy")
 
 
@@ -625,8 +654,9 @@ def cross_check(t: OrderTerm, budget: int) -> CheckReport:
     t = desugar(t)
     text = print_term(t)
     p = profile(t)
-    pts = enumerate_points(t, budget)
     r = _realize(t)
+    pts = list(itertools.islice(_enum_iter(r), budget))
+    # (c, (is_min, is_max, has_successor, has_predecessor)) for each sample
     facts = [(c, r.facts(c)) for c in pts]
     outcomes: list[Outcome] = []
 
@@ -641,17 +671,18 @@ def cross_check(t: OrderTerm, budget: int) -> CheckReport:
 
     ordered = sorted(pts, key=r.key)
     # An endpoint, if any sample is one, must be the first (last) sample.
-    for side, some, is_end, end in (("left", p.has_left_endpoint, lambda f: f.is_min, 0),
-                                    ("right", p.has_right_endpoint, lambda f: f.is_max, -1)):
-        claim(f"{side}_endpoint", some, is_end)
-        ends = [c for c, f in facts if is_end(f)]
+    # The names are constants, so reports kept in bulk share them.
+    for name, some, fact, end in (("left_endpoint", p.has_left_endpoint, 0, 0),
+                                  ("right_endpoint", p.has_right_endpoint, 1, -1)):
+        claim(name, some, lambda f: f[fact])
+        ends = [c for c, f in facts if f[fact]]
         if some and ends and ends != [ordered[end]]:
-            outcomes.append(Outcome(f"{side}_endpoint_position", "counterexample", str(ends)))
+            outcomes.append(Outcome(name + "_position", "counterexample", str(ends)))
 
     # A point with a successor witnesses successor pairs; against the
     # claim that there are none, a point with a predecessor refutes it too.
     claim("successor_pairs", not p.succ_pair_free,
-          lambda f: f.has_successor or (p.succ_pair_free and f.has_predecessor))
+          lambda f: f[2] or (p.succ_pair_free and f[3]))
     if p.succ_pair_free:
         gap = None
         for a, b in zip(ordered, ordered[1:]):
@@ -664,9 +695,9 @@ def cross_check(t: OrderTerm, budget: int) -> CheckReport:
             outcomes.append(Outcome("density_between", "counterexample", str(gap)))
 
     claim("successor_complete", not p.succ_complete,
-          lambda f: not f.is_max and not f.has_successor)
+          lambda f: not f[1] and not f[2])
     claim("predecessor_complete", not p.pred_complete,
-          lambda f: not f.is_min and not f.has_predecessor)
+          lambda f: not f[0] and not f[3])
 
     expected = budget if p.size is None else min(p.size, budget)
     if len(pts) == expected:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import cache, reduce
+from itertools import product
 
 from .terms import (
     Empty,
@@ -63,11 +64,28 @@ _DENSE = {(False, False): DenseClass.Q, (True, False): DenseClass.ONE_Q,
           (False, True): DenseClass.Q_ONE, (True, True): DenseClass.ONE_Q_ONE}
 
 
-def _mk(is_empty, size, hl, hr, spf, sc, pc) -> StructProfile:
-    dense = None
-    if not is_empty and spf and (size is None or size >= 2):
-        dense = _DENSE[(hl, hr)]
-    return StructProfile(is_empty, size, hl, hr, spf, sc, pc, dense)
+def _shape(size, hl, hr, spf, sc, pc) -> StructProfile:
+    dense = _DENSE[(hl, hr)] if spf and (size is None or size >= 2) else None
+    return StructProfile(False, size, hl, hr, spf, sc, pc, dense)
+
+
+# The profile of every infinite order, one per shape of its five facts,
+# so that no infinite profile is built or hashed twice.
+_INFINITE = {facts: _shape(None, *facts) for facts in product((False, True), repeat=5)}
+
+
+def _mk(size, hl, hr, spf, sc, pc) -> StructProfile:
+    # The profile of a non-empty order.
+    if size is None:
+        return _INFINITE[hl, hr, spf, sc, pc]
+    return _shape(size, hl, hr, spf, sc, pc)
+
+
+_EMPTY = StructProfile(True, 0, False, False, True, True, True, None)
+_ATOMS = {Single: _mk(1, True, True, True, True, True),
+          Omega: _mk(None, True, False, False, True, True),
+          OmegaStar: _mk(None, False, True, False, True, True),
+          Zeta: _mk(None, False, False, False, True, True)}
 
 
 def _add(a: int | None, b: int | None) -> int | None:
@@ -80,7 +98,6 @@ def _mul(a: int | None, b: int | None) -> int | None:
 
 def _sum_profile(pa: StructProfile, pb: StructProfile) -> StructProfile:
     return _mk(
-        False,
         _add(pa.size, pb.size),
         pa.has_left_endpoint,
         pb.has_right_endpoint,
@@ -99,7 +116,6 @@ def _product_profile(px: StructProfile, py: StructProfile) -> StructProfile:
     # is a single copy of the fiber.
     many = px.size is None or px.size >= 2
     return _mk(
-        False,
         _mul(px.size, py.size),
         px.has_left_endpoint and py.has_left_endpoint,
         px.has_right_endpoint and py.has_right_endpoint,
@@ -122,26 +138,20 @@ def profile(t: OrderTerm) -> StructProfile:
 
 @cache
 def _profile(t: OrderTerm) -> StructProfile:
+    atom = _ATOMS.get(t.__class__)
+    if atom is not None:
+        return atom
     match t:
         case Empty():
-            return _mk(True, 0, False, False, True, True, True)
-        case Single():
-            return _mk(False, 1, True, True, True, True, True)
+            return _EMPTY
         case Finite(n):
-            return _mk(False, n, True, True, False, True, True)
-        case Omega():
-            return _mk(False, None, True, False, False, True, True)
-        case OmegaStar():
-            return _mk(False, None, False, True, False, True, True)
-        case Zeta():
-            return _mk(False, None, False, False, False, True, True)
+            return _mk(n, True, True, False, True, True)
         case Sum(parts) | Product(parts):
             rule = _sum_profile if isinstance(t, Sum) else _product_profile
             return reduce(rule, map(_profile, parts))
         case Shuffle(blocks):
             ps = [_profile(b) for b in blocks]
             return _mk(
-                False,
                 None,
                 False,
                 False,

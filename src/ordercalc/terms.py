@@ -15,6 +15,7 @@ constant time and never recurses, however deep the term.
 from __future__ import annotations
 
 from functools import cache
+from operator import is_
 
 
 def _stored_hash(self) -> int:
@@ -272,34 +273,34 @@ def desugar(t: OrderTerm) -> OrderTerm:
     nothing to eliminate is returned as it is, so later lookups of it
     hit by identity instead of comparing equal trees node by node.
     """
-    todo = [t]  # walked with a loop, so that a deep term costs no recursion
-    while todo:
-        match todo.pop():
-            case Sum(parts) | Product(parts):
-                todo += parts
-            case Shuffle(blocks):
-                todo += blocks
-            case Reverse():
-                break
-            case Empty() as u if u is not t:
-                break
-    else:
-        return t
-    match t:
-        case Reverse():
-            # A chain of reversals cancels in pairs; only its parity counts.
-            odd = False
-            while isinstance(t, Reverse):
-                t, odd = t.body, not odd
-            return _reverse(desugar(t)) if odd else desugar(t)
-        case Sum(parts) | Product(parts):
-            parts = list(map(desugar, parts))
-            if isinstance(t, Product) and Empty() in parts:
-                return Empty()  # an empty factor empties the product
-            return join(type(t), [p for p in parts if p != Empty()])  # an empty summand drops out
-        case Shuffle(blocks):
-            kept = tuple(b for b in map(desugar, blocks) if b != Empty())
-            return Shuffle(kept) if kept else Empty()
+    return _desugar(t)
+
+
+def _desugar(t: OrderTerm) -> OrderTerm:
+    # One bottom-up pass: a node is rebuilt only when a node below it
+    # changes, and kept as it is otherwise.
+    cls = t.__class__
+    if cls is Sum or cls is Product:
+        parts = [_desugar(p) for p in t.parts]
+        kept = [p for p in parts if p.__class__ is not Empty]
+        if len(kept) < len(parts) and cls is Product:
+            return Empty()  # an empty factor empties the product
+        if len(kept) == len(parts) and all(map(is_, parts, t.parts)):
+            return t
+        return join(cls, kept)  # an empty summand drops out
+    if cls is Shuffle:
+        blocks = [_desugar(b) for b in t.blocks]
+        kept = tuple(b for b in blocks if b.__class__ is not Empty)
+        if len(kept) == len(blocks) and all(map(is_, blocks, t.blocks)):
+            return t
+        return Shuffle(kept) if kept else Empty()
+    if cls is Reverse:
+        # A chain of reversals cancels in pairs; only its parity counts.
+        odd = False
+        while t.__class__ is Reverse:
+            t, odd = t.body, not odd
+        return _reverse(_desugar(t)) if odd else _desugar(t)
+    return t
 
 
 def _reverse(t: OrderTerm) -> OrderTerm:

@@ -16,6 +16,8 @@ shuffle Q[1].  Whitespace is insignificant.
 
 from __future__ import annotations
 
+import re
+
 from .terms import (
     Empty,
     Finite,
@@ -27,9 +29,10 @@ from .terms import (
     Shuffle,
     Single,
     Sum,
+    ValidationError,
     Zeta,
+    join,
     node,
-    validate,
 )
 
 MAX_NAT = 2**31 - 1
@@ -56,132 +59,117 @@ class ParseError(ValueError):
         self.span = span
 
 
-_DIGITS = frozenset("0123456789")  # ASCII only: str.isdigit also takes "²" and "٣"
-_PUNCT = {"+": "PLUS", "*": "STAR", "~": "TILDE", "(": "LPAREN", ")": "RPAREN",
-          "[": "LBRACK", "]": "RBRACK", ",": "COMMA"}
+# A token: an ASCII numeral or one other character, after any spaces.
+_TOKEN = re.compile(r"\s*(?:([0-9]+)|(\S))")
+_GRAMMAR = frozenset("NZQ+*~()[],")
+_NAMES = {"N": Omega(), "Z": Zeta(), "Q": Shuffle((Single(),))}
+# The token expected after a complete sum, by the bracket it is in.
+_CLOSE = {None: "EOF", ")": "RPAREN", "]": "RBRACK"}
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
-    toks = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in _PUNCT:
-            toks.append((_PUNCT[c], c, i, i + 1))
-            i += 1
-            continue
-        if c in _DIGITS:
-            j = i
-            while j < n and text[j] in _DIGITS:
-                j += 1
-            # The length is checked first: int() refuses very long literals.
-            digits = text[i:j].lstrip("0")
-            if len(digits) > _NAT_WIDTH or int(digits or "0") > MAX_NAT:
-                raise ParseError(f"number literal exceeds {MAX_NAT}", SourceSpan(i, j))
-            toks.append(("NAT", text[i:j], i, j))
-            i = j
-            continue
-        if c in "NZQ":
-            toks.append(("NAME", c, i, i + 1))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", SourceSpan(i, i + 1))
-    toks.append(("EOF", "", n, n))
-    return toks
+def _nat(m) -> int:
+    # The value of the numeral m; its length is checked first, because
+    # int() refuses very long literals.
+    num = m.group(1)
+    digits = num.lstrip("0") or "0" if len(num) > _NAT_WIDTH else num
+    if len(digits) > _NAT_WIDTH or int(digits) > MAX_NAT:
+        raise ParseError(f"number literal exceeds {MAX_NAT}", SourceSpan(*m.span(1)))
+    return int(digits)
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.toks = _tokenize(text)
-        self.pos = 0
-        self.depth = 0
+def _bad_char(m):
+    return ParseError(f"unexpected character {m.group(2)!r}", SourceSpan(*m.span(2)))
 
-    def peek(self):
-        return self.toks[self.pos]
 
-    def take(self, kind: str):
-        tok = self.toks[self.pos]
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind}, found {tok[1] or 'end of input'!r}",
-                             SourceSpan(tok[2], tok[3]))
-        self.pos += 1
-        return tok
-
-    def sum(self) -> OrderTerm:
-        parts = [self.prod()]
-        while self.peek()[0] == "PLUS":
-            self.pos += 1
-            parts.append(self.prod())
-        return Sum(*parts) if len(parts) > 1 else parts[0]
-
-    def prod(self) -> OrderTerm:
-        parts = [self.post()]
-        while self.peek()[0] == "STAR":
-            self.pos += 1
-            parts.append(self.post())
-        return Product(*parts) if len(parts) > 1 else parts[0]
-
-    def post(self) -> OrderTerm:
-        t = self.atom()
-        while self.peek()[0] == "TILDE":
-            self.take("TILDE")
-            t = Reverse(t)
-        return t
-
-    def nested(self, start: int, end: int) -> OrderTerm:
-        # A sum one bracket level deeper than the current one.
-        if self.depth == MAX_DEPTH:
-            raise ParseError(f"nesting deeper than {MAX_DEPTH} levels", SourceSpan(start, end))
-        self.depth += 1
-        t = self.sum()
-        self.depth -= 1
-        return t
-
-    def atom(self) -> OrderTerm:
-        kind, value, start, end = self.peek()
-        if kind == "NAT":
-            self.pos += 1
-            n = int(value.lstrip("0") or "0")
-            if n == 0:
-                return Empty()
-            if n == 1:
-                return Single()
-            return Finite(n)
-        if kind == "NAME":
-            self.pos += 1
-            if value == "N":
-                return Omega()
-            if value == "Z":
-                return Zeta()
-            if self.peek()[0] != "LBRACK":
-                return Shuffle((Single(),))
-            self.take("LBRACK")
-            blocks = [self.nested(start, end)]
-            while self.peek()[0] == "COMMA":
-                self.take("COMMA")
-                blocks.append(self.nested(start, end))
-            self.take("RBRACK")
-            return Shuffle(tuple(blocks))
-        if kind == "LPAREN":
-            self.take("LPAREN")
-            t = self.nested(start, end)
-            self.take("RPAREN")
-            return t
-        raise ParseError(f"expected an order expression, found {value or 'end of input'!r}",
-                         SourceSpan(start, end))
+def _syntax_error(message: str, span: tuple, rest) -> ParseError:
+    # A bad character or literal among the tokens not yet read is
+    # reported first, as a tokenizer that ran before the parser would.
+    for m in rest:
+        if m.group(1) is not None:
+            _nat(m)
+        elif m.group(2) not in _GRAMMAR:
+            return _bad_char(m)
+    return ParseError(message, SourceSpan(*span))
 
 
 def parse(text: str) -> OrderTerm:
-    """Parse an expression; the returned tree is validated."""
-    p = _Parser(text)
-    t = p.sum()
-    p.take("EOF")
-    validate(t)
-    return t
+    """Parse an expression; the returned tree is validated.
+
+    One pass over the tokens, with the open brackets on a stack.  Errors
+    are reported as separate passes would find them: the first bad
+    character or literal, else the first syntax error, else the first
+    shuffle, in pre-order, with an empty block.
+    """
+    toks = _TOKEN.finditer(text)
+    stack = []  # per open bracket: the closer, blocks, summands and factors outside it
+    close, blocks, summands, factors = None, None, [], []
+    cur = None  # the operand just read; None where one is expected
+    q = None  # a Q just read, whose blocks a "[" opens
+    empty = None  # the first shuffle, or its open blocks, with a block 0
+    for m in toks:
+        ch = m.group(2)
+        if ch is None:
+            n = _nat(m)
+            if cur is not None:
+                raise _syntax_error(f"expected {_CLOSE[close]}, found {m.group(1)!r}", m.span(1), toks)
+            cur = Empty() if n == 0 else Single() if n == 1 else Finite(n)
+        elif ch not in _GRAMMAR:
+            raise _bad_char(m)
+        elif cur is None:
+            if ch in _NAMES:
+                cur = _NAMES[ch]
+                if ch == "Q":
+                    q = m
+                    continue
+            elif ch == "(":
+                if len(stack) == MAX_DEPTH:
+                    raise _syntax_error(f"nesting deeper than {MAX_DEPTH} levels", m.span(2), toks)
+                stack.append((close, blocks, summands, factors))
+                close, blocks, summands, factors = ")", None, [], []
+            else:
+                raise _syntax_error(f"expected an order expression, found {ch!r}", m.span(2), toks)
+        elif ch == "~":
+            cur = Reverse(cur)
+        elif ch == "*":
+            factors.append(cur)
+            cur = None
+        elif ch == "+":
+            factors.append(cur)
+            summands.append(join(Product, factors))
+            factors, cur = [], None
+        elif ch == "[" and q is not None:
+            if len(stack) == MAX_DEPTH:
+                raise _syntax_error(f"nesting deeper than {MAX_DEPTH} levels", q.span(2), toks)
+            stack.append((close, blocks, summands, factors))
+            close, blocks, summands, factors, cur = "]", [], [], [], None
+        elif ch == close or (ch == "," and close == "]"):
+            factors.append(cur)
+            summands.append(join(Product, factors))
+            cur = join(Sum, summands)
+            if close == "]":
+                if empty is None and cur == Empty():
+                    empty = blocks
+                blocks.append(cur)
+                if ch == ",":
+                    summands, factors, cur = [], [], None
+                    continue
+                cur = Shuffle(tuple(blocks))
+                if empty is blocks:
+                    empty = cur
+            close, blocks, summands, factors = stack.pop()
+        else:
+            raise _syntax_error(f"expected {_CLOSE[close]}, found {ch!r}", m.span(2), toks)
+        q = None
+    end = len(text), len(text)
+    if cur is None:
+        raise ParseError("expected an order expression, found 'end of input'", SourceSpan(*end))
+    if close is not None:
+        raise ParseError(f"expected {_CLOSE[close]}, found 'end of input'", SourceSpan(*end))
+    factors.append(cur)
+    summands.append(join(Product, factors))
+    if empty is not None:
+        raise ValidationError("EmptyShuffleBlock", empty, "shuffle blocks must be non-empty orders")
+    return join(Sum, summands)
 
 
 _SUM, _PROD, _POST, _ATOM = 0, 1, 2, 3

@@ -4,8 +4,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import hypothesis.strategies as st
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, given, seed, settings
 
 from ordercalc.cli import _COMMANDS, MAX_COUNT, run
 from ordercalc.textio import MAX_DEPTH
@@ -271,11 +273,17 @@ def test_commands_on_long_product_and_reversal_chains(command, chain, expected):
 
 
 ORACLE_CHAINS = {"sum-3000": LONG_SUM, "reversed-sum-3000": f"({LONG_SUM})~",
-                 "product-3000": CHAINS["product-3000"]}
+                 "product-3000": CHAINS["product-3000"],
+                 "product-of-2s-3000": "*".join(["2"] * 3000)}
 ORACLE_ROWS = [
     *((["enum", chain], "(9, 0)") for chain in ("sum-3000", "reversed-sum-3000")),
     (["enum", "product-3000"], "(" + ", ".join(["0"] * 3000) + ")"),
-    *((["check", chain], "result: ok") for chain in ORACLE_CHAINS),
+    # Point 10 is the ninth of weight 1, whose 1 sits in the ninth factor
+    # from the end; enumeration costs the points asked for, not the class.
+    (["enum -n 10", "product-of-2s-3000"],
+     "(" + ", ".join(["0"] * 2991 + ["1"] + ["0"] * 8) + ")"),
+    *((["check", chain], "result: ok")
+      for chain in ("sum-3000", "reversed-sum-3000", "product-3000")),
     *((["bnf -r 3", chain], f"partial isomorphism with {n} pairs")
       for chain, n in [("sum-3000", 3), ("reversed-sum-3000", 3), ("product-3000", 1)]),
 ]
@@ -388,6 +396,27 @@ NUMERALS = [("\u00b2", 2), ("1\u00b2", 2), ("\u0663", 2), ("\uff11", 2),
 )
 def test_every_command_ends_in_a_documented_exit_code(argv, capsys):
     assert run(argv) in (0, 2, 3, 4)
+
+
+# Fuzz gate (a): random strings as terms.  A numeral is one token that
+# ends in a space, so no run of digits asks for millions of copies.
+_FUZZ_TOKENS = ["0 ", "1 ", "2 ", "7 ", "12 ", "007 ", "N", "Z", "Q", "+", "*", "~", "(", ")",
+                "[", "]", ",", " ", "-", "\u0663", "\u00a0", "x"]
+_FUZZ_TERM = st.lists(st.sampled_from(_FUZZ_TOKENS), max_size=14).map("".join)
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@seed(20261020)
+@given(terms=st.lists(_FUZZ_TERM, min_size=2, max_size=2))
+def test_random_terms_end_in_a_documented_exit_code(command, terms, capsys):
+    operands = terms[:len(_COMMANDS[command].operands)]
+    try:
+        code = run([command, *operands])
+    except SystemExit as e:  # argparse takes a leading "-" for an option
+        code = e.code
+    capsys.readouterr()
+    assert code in (0, 2, 3, 4)
 
 
 @pytest.mark.parametrize("text, code", NUMERALS, ids=["sup2", "1sup2", "arabic3", "fullwidth1",

@@ -87,16 +87,16 @@ def test_records_are_frozen_nodes_with_the_dataclass_repr():
         assert copy == record and hash(copy) == hash(record)
 
 
-def test_the_module_level_caches_are_the_four_known_ones():
-    # A one-shot query clears these four caches to start cold; a fifth
+def test_the_module_level_caches_are_the_three_known_ones():
+    # A one-shot query clears these three caches to start cold; a fourth
     # cache would carry answers from one query into the next unseen.
-    from ordercalc import oracle, profiles
+    from ordercalc import profiles
 
     modules = [importlib.import_module(f"ordercalc.{p.stem}") for p in MODULES
                if p.stem != "__init__"] + [ordercalc]
     found = {id(obj): obj for m in modules for obj in vars(m).values()
              if hasattr(obj, "cache_info")}
-    expected = [terms.desugar, profiles._profile, canon._canon, oracle._codes_of_weight]
+    expected = [terms.desugar, profiles._profile, canon._canon]
     assert sorted(found) == sorted(map(id, expected))
 
 

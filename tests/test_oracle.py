@@ -313,7 +313,7 @@ def test_cross_check_reports_a_misplaced_endpoint(monkeypatch):
     # Point 1 of 3 claims to be both endpoints.
     right = oracle._Ints.facts
     monkeypatch.setattr(oracle._Ints, "facts", lambda self, c: (
-        right(self, c)._replace(is_min=True, is_max=True) if c == 1 else right(self, c)))
+        (True, True, *right(self, c)[2:]) if c == 1 else right(self, c)))
     assert cross_check(T("3"), 12).to_text() == (
         "check 3 budget=12 points=3\n"
         "  left_endpoint: witness_found 0\n"
@@ -490,3 +490,34 @@ def test_point_queries_on_generated_terms_are_pinned():
             h.update(repr((compare(t, a, b), mid)).encode())
         h.update(repr([point_profile(t, c) for c in pts]).encode())
     assert h.hexdigest() == "1cd17fc652293df52bf490889d767198af9a6e20f574d08950384ddafea480a0"
+
+
+def _wide_term(rng, leaves):
+    # _random_term's shapes, plus what enumeration loops over: sums of up
+    # to 12 parts, products of 3-5 factors and shuffles nested in blocks.
+    if leaves <= 1:
+        return rng.choice(_ATOMS)
+    r = rng.random()
+    if r < 0.1:
+        return Reverse(_wide_term(rng, leaves - 1))
+    if r < 0.3:
+        k = rng.randint(1, 3)
+        return Shuffle(tuple(_wide_term(rng, max(1, leaves // k)) for _ in range(k)))
+    if r < 0.5:
+        return Sum(*(_wide_term(rng, rng.randint(1, 2)) for _ in range(rng.randint(3, 12))))
+    if r < 0.7:
+        k = rng.randint(3, 5)
+        return Product(*(_wide_term(rng, max(1, leaves // k)) for _ in range(k)))
+    cut = rng.randint(1, leaves - 1)
+    return (Sum if r < 0.85 else Product)(_wide_term(rng, cut), _wide_term(rng, leaves - cut))
+
+
+def test_enumeration_of_generated_terms_is_pinned():
+    # The first 200 codes of each of 320 seeded terms, among them long
+    # sums, products of 3-5 factors and nested shuffles, in one digest.
+    rng = random.Random(24)
+    h = hashlib.sha256()
+    for _ in range(320):
+        t = _wide_term(rng, rng.randint(1, 10))
+        h.update(repr(enumerate_points(t, 200)).encode())
+    assert h.hexdigest() == "3be80e25edf19ab84577be64c33b95aabb336663024e7e5d6352e8be9c7c4988"

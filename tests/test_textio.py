@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import pytest
 from hypothesis import given
 
@@ -16,6 +19,7 @@ from ordercalc import (
     Sum,
     ValidationError,
     Zeta,
+    ast_repr,
     canonicalize,
     desugar,
     parse,
@@ -172,3 +176,84 @@ def test_dot_trivial_shuffle():
     assert dot.count("label=") == 2
     assert '"1"' in dot
     assert "Q[1]" in dot
+
+
+def _random_text(rng, depth):
+    # A well-formed expression with random spacing, 0 and leading zeros.
+    r = rng.random()
+    if depth == 0 or r < 0.3:
+        return rng.choice(["0", "1", "2", "7", "007", "2147483647", "N", "Z", "Q"])
+    sub = lambda: _random_text(rng, depth - 1)  # noqa: E731
+    sp = rng.choice(["", " ", "  "])
+    if r < 0.45:
+        return f"{sub()}{sp}+{sp}{sub()}"
+    if r < 0.6:
+        return f"{sub()}{sp}*{sp}{sub()}"
+    if r < 0.7:
+        return f"({sub()}){'~' * rng.randint(1, 3)}"
+    if r < 0.8:
+        return f"({sub()})"
+    return "Q[" + f",{sp}".join(sub() for _ in range(rng.randint(1, 3))) + "]"
+
+
+_GRAMMAR = "+*~()[],0123456789NZQ "
+_FOREIGN = ["٣", "²", "①", " ", " ", "　", "\t", "\n", "\x1c", "x", "q", "é"]
+
+
+def _mutated(rng, text):
+    # One to three edits: a grammar character, a foreign digit or space,
+    # a 5000-digit literal, or nesting to exactly 50 or 51 levels.
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randint(0, len(text))
+        r = rng.random()
+        if r < 0.3:
+            text = text[:i] + rng.choice(_GRAMMAR) + text[i:]
+        elif r < 0.45 and text:
+            text = text[:i] + text[i + 1:]
+        elif r < 0.6 and text:
+            text = text[:i] + rng.choice(_GRAMMAR) + text[i + 1:]
+        elif r < 0.75:
+            text = text[:i] + rng.choice(_FOREIGN) + text[i:]
+        elif r < 0.8:
+            text = text[:i] + rng.choice(["1" * 5000, "0" * 4995 + "12345"]) + text[i:]
+        elif r < 0.9:
+            k = rng.choice([MAX_DEPTH, MAX_DEPTH + 1])
+            opener, closer = rng.choice([("(", ")"), ("Q[", "]")])
+            text = opener * k + text + closer * k
+        else:
+            text = text[:i] + rng.choice(["0", "Q[0]", ", 0", "Q[1, 0]"]) + text[i:]
+    return text
+
+
+def _parse_outcome(text):
+    try:
+        return ast_repr(parse(text))
+    except ParseError as e:
+        return ("ParseError", e.message, e.span.start, e.span.end, str(e))
+    except ValidationError as e:
+        return ("ValidationError", e.kind, str(e), ast_repr(e.subterm))
+
+
+def test_parse_outcomes_on_mutated_texts_are_pinned():
+    # 5,200 seeded texts, each a generated expression with one to three
+    # edits: the tree parsed, or the error's class, message, span and
+    # offending subterm, in one digest.
+    rng = random.Random(24)
+    h = hashlib.sha256()
+    for _ in range(5200):
+        text = _random_text(rng, rng.randint(0, 4))
+        if rng.random() < 0.9:
+            text = _mutated(rng, text)
+        h.update(repr(_parse_outcome(text)).encode() + b"\n")
+    assert h.hexdigest() == "130fcd1f96625d2d9944401fc73f7ce0d61265502b0f05efe0cd8f79988d1635"
+
+
+@pytest.mark.parametrize("text, offender", [
+    ("Q[0, Q[0]]", "Q[0,Q[0]]"), ("Q[Q[0], 0]", "Q[0]"), ("Q[1, 0] + Q[0]", "Q[1,0]"),
+])
+def test_validation_reports_the_first_shuffle_in_pre_order(text, offender):
+    # The outer shuffle when its empty block comes before the inner one.
+    with pytest.raises(ValidationError) as exc:
+        parse(text)
+    assert exc.value.kind == "EmptyShuffleBlock"
+    assert print_term(exc.value.subterm) == offender
