@@ -9,12 +9,16 @@ it decides isomorphism.  Scattered parts that need an infinite-power
 atom (Pow) have no normal form yet: outside the tame fragment, Equal
 means identical forms, and different forms are StructuralOnly, never a
 wrong verdict.  Segment queries refuse such forms.
+
+A term t is t copies of one point: one walk (``_times``) applies an index
+to a fiber's form, and the form of t is t applied to ONE_FORM.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from functools import cache
+from itertools import count
 
 from .terms import (
     Empty,
@@ -189,6 +193,7 @@ class CanonicalForm:
 
 
 EMPTY_FORM = CanonicalForm(())
+ONE_FORM = CanonicalForm((Scat((Fin(1),)),))
 
 _KIND_RANK = {"N": 0, "N~": 1, "Z": 2}
 
@@ -291,6 +296,9 @@ def _join(run: list[Scat]) -> Scat:
 
 
 def _repeat_form(cf: CanonicalForm, n: int) -> CanonicalForm:
+    match cf.components:
+        case (Scat((Fin(k),)),):  # n copies of k points, in one step
+            return CanonicalForm((Scat((Fin(n * k),)),))
     result: tuple = ()
     piece = cf.components
     while n:
@@ -360,39 +368,29 @@ def canonicalize(t: OrderTerm) -> CanonicalForm:
     Stuck when two consecutive copies of the fiber do not merge into one.
     A wrong form is never returned.  The error names a stuck product node
     of desugar(t), whole; a stuck product inside its fiber is named first.
+    Each term passed here is kept with its answer, form or Stuck alike.
     """
-    return _canon(desugar(t))
+    cf = _canon(desugar(t))
+    if isinstance(cf, StuckError):
+        raise StuckError(cf.subterm)
+    return cf
 
 
 @cache
-def _canon(t: OrderTerm) -> CanonicalForm:
-    match t:
-        case Empty():
-            return EMPTY_FORM
-        case Single():
-            return CanonicalForm((Scat((Fin(1),)),))
-        case Finite(n):
-            return CanonicalForm((Scat((Fin(n),)),))
-        case Omega() | OmegaStar() | Zeta():
-            return CanonicalForm((Scat((_KAPPA[t][1],)),))
-        case Sum(parts):
-            return CanonicalForm(concat_components(*(_canon(p).components for p in parts)))
-        case Shuffle(blocks):
-            return CanonicalForm((_canon_shuffle([_canon(b) for b in blocks]),))
-        case Product(parts):
-            # x1*...*xk*y is x1 copies of ... xk copies of y: the index
-            # acts on the fiber's form.  Stuck there, name this input node.
-            cf = _canon(parts[-1])
-            try:
-                return _times(join(Product, parts[:-1]), cf)
-            except StuckError:
-                raise StuckError(t) from None
-    raise AssertionError(f"unreachable: {t!r}")
+def _canon(t: OrderTerm) -> CanonicalForm | StuckError:
+    # The order t is t copies of one point.  A Stuck answer is kept as a
+    # fresh error: the caught one holds the frames of its traceback.
+    try:
+        return _times(t, ONE_FORM)
+    except StuckError as e:
+        return StuckError(e.subterm)
 
 
 def _times(x: OrderTerm, cf: CanonicalForm) -> CanonicalForm:
     """The form of x copies of the order whose form is cf."""
     match x:
+        case Empty():
+            return EMPTY_FORM
         case Single():
             return cf
         case Finite(n):
@@ -402,8 +400,14 @@ def _times(x: OrderTerm, cf: CanonicalForm) -> CanonicalForm:
         case Shuffle(blocks):
             return CanonicalForm((_canon_shuffle([_times(b, cf) for b in blocks]),))
         case Product(parts):
-            for p in reversed(parts):
-                cf = _times(p, cf)
+            # x1*...*xk*y is x1 copies of ... xk copies of y: the index
+            # acts on the fiber's form.  Stuck there, name this input node.
+            cf = _times(parts[-1], cf)
+            try:
+                for p in reversed(parts[:-1]):
+                    cf = _times(p, cf)
+            except StuckError:
+                raise StuckError(x) from None
             return cf
         case Omega() | OmegaStar() | Zeta():
             kind, atom = _KAPPA[x]
@@ -420,7 +424,7 @@ def _times(x: OrderTerm, cf: CanonicalForm) -> CanonicalForm:
                 raise StuckError(x)
             return CanonicalForm(comps[:i + 1] if kind == "N"
                                  else comps[i:] if kind == "N~" else comps[i:i + 1])
-    raise AssertionError(f"unreachable index: {x!r}")
+    raise AssertionError(f"unreachable: {x!r}")
 
 
 # --- conversion back to terms, and to DOT ---
@@ -467,17 +471,12 @@ def to_dot(cf: CanonicalForm) -> str:
     deterministic.
     """
     lines = ["digraph canonical {", "  node [shape=box];"]
-    counter = [0]
-
-    def fresh() -> str:
-        nid = f"n{counter[0]}"
-        counter[0] += 1
-        return nid
+    names = map("n{}".format, count())
 
     def emit_chain(components) -> list[str]:
         ids = []
         for comp in components:
-            nid = fresh()
+            nid = next(names)
             ids.append(nid)
             if isinstance(comp, Scat):
                 label = print_term(cf_to_term(CanonicalForm((comp,))))
@@ -564,6 +563,4 @@ def is_initial_segment(s: CanonicalForm, t: CanonicalForm) -> bool:
 
 def is_final_segment(s: CanonicalForm, t: CanonicalForm) -> bool:
     """Does s belong to the family of final segments of t?"""
-    if not (s.tame and t.tame):
-        raise UnsupportedError("segment decisions require tame canonical forms")
-    return _is_initial(reverse_form(s).components, reverse_form(t).components)
+    return is_initial_segment(reverse_form(s), reverse_form(t))

@@ -19,9 +19,8 @@ from enum import Enum
 from typing import NamedTuple
 
 from .canon import (
+    ONE_FORM,
     CanonicalForm,
-    Fin,
-    Scat,
     Shuf,
     canonicalize,
     cf_to_term,
@@ -31,8 +30,6 @@ from .canon import (
 )
 from .profiles import DenseClass, StructProfile, profile
 from .terms import Empty, OrderTerm, Single, StuckError, UnsupportedError, desugar, node
-
-_ONE = CanonicalForm((Scat((Fin(1),)),))
 
 
 @node
@@ -258,7 +255,7 @@ def square_two_endpoints(x: OrderTerm) -> bool | None:
     d = decompose(x)
     if d is None:
         return False
-    if d.left == _ONE and d.right == _ONE and d.blocks == (_ONE,):
+    if d.left == ONE_FORM and d.right == ONE_FORM and d.blocks == (ONE_FORM,):
         return True
     _, _, b_left, b_right, b_junction = _case_bits(d)
     # Where L is not a block, every block point needs a predecessor, and

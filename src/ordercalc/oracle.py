@@ -279,7 +279,8 @@ class _Shuffle(_Copies):
         for length in range(w + 1):
             inner = self.blocks[length % self.k].weight_class(w - length)
             if inner:
-                out += [(pos, c) for pos in _strings(length) for c in inner]
+                out += [("".join(pos), c) for pos in itertools.product("LR", repeat=length)
+                        for c in inner]
         return out
 
 
@@ -438,10 +439,6 @@ def between(t: OrderTerm, a: PointCode, b: PointCode) -> PointCode | None:
 # fair enumeration
 
 
-def _strings(length: int):
-    return map("".join, itertools.product("LR", repeat=length))
-
-
 def _enum_iter(r):
     # Every code of the realization r, one weight class after the other.
     w = 0
@@ -562,16 +559,23 @@ def back_and_forth(x: OrderTerm, y: OrderTerm, rounds: int,
 
 
 def _pos_find(lo: str | None, hi: str | None, residue: int, k: int) -> str:
-    # The first tree position in enumeration order with the required
-    # depth residue strictly between lo and hi (None: unbounded); depth
-    # residues are dense, so a bounded search suffices.
-    lo_key = None if lo is None else _pos_key(lo)
+    # The first tree position in enumeration order whose length is residue
+    # mod k, strictly between lo and hi (None: unbounded).  Positions of one
+    # length lie in infix order, so only the least of each length above lo
+    # can qualify; depth residues are dense, so a bounded search suffices.
     hi_key = None if hi is None else _pos_key(hi)
-    for length in range(residue, 64, k):
-        for pos in _strings(length):
-            key = _pos_key(pos)
-            if (lo_key is None or key > lo_key) and (hi_key is None or key < hi_key):
-                return pos
+    for d in range(residue, 64, k):
+        if lo is None or d > len(lo):
+            pos = "" if lo is None else lo + "R"
+        elif d < len(lo) and lo[d] == "L":
+            pos = lo[:d]
+        elif "L" in lo[:d]:  # lo[:d] is not above lo: take the next string
+            pos = lo[:d].rstrip("R")[:-1] + "R"
+        else:
+            continue
+        pos = pos.ljust(d, "L")
+        if hi_key is None or _pos_key(pos) < hi_key:
+            return pos
     raise InvalidCodeError("no coloured position found within depth 64")
 
 

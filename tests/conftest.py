@@ -1,8 +1,11 @@
+import os
 import random
 import sys
+from pathlib import Path
 
 import hypothesis.strategies as st
 
+import ordercalc
 from ordercalc import (
     Finite,
     Omega,
@@ -47,6 +50,14 @@ A_TERMS = ["1", "2", "3", "N", "N~", "Z", "1+Q", "Q+1", "1+Q+1", "N+N~"]
 
 def T(s: str):
     return parse(s)
+
+
+def child_env() -> dict[str, str]:
+    """The environment of a child Python process: its PYTHONPATH is the
+    directory of the ordercalc that the tests import, so the child tests
+    this checkout too, with or without PYTHONPATH set, and never another
+    copy that is installed."""
+    return dict(os.environ, PYTHONPATH=str(Path(ordercalc.__file__).parents[1]))
 
 
 _WORD_ATOMS = ["1", "2", "3", "N", "N~", "Z"]

@@ -1,7 +1,8 @@
 import copy
+import hashlib
 import json
-import os
 import pickle
+import random
 import subprocess
 import sys
 from dataclasses import FrozenInstanceError
@@ -11,21 +12,28 @@ import pytest
 import hypothesis.strategies as st
 from hypothesis import given, seed, settings
 
-from conftest import GOLDEN, T, term_strategy, with_budget
+from conftest import GOLDEN, T, child_env, term_strategy, with_budget
 from ordercalc import (
     CanonicalForm,
+    Empty,
     Equality,
     Fin,
+    Finite,
+    Omega,
+    OmegaStar,
     Pow,
     Product,
     Reverse,
     Scat,
     Shuf,
+    Shuffle,
+    Single,
     StuckError,
     Sum,
     W,
     Wstar,
     Zat,
+    Zeta,
     absorbs,
     canonicalize,
     cf_equal,
@@ -64,12 +72,9 @@ def test_scat_one_plus_omega():
 def test_scat_of_a_flat_sum_of_3000_terms():
     # Run apart, so that the sum is parsed once in its process: a second
     # equal tree would be compared with the first, once per summand.
-    import ordercalc
-
-    env = dict(os.environ, PYTHONPATH=str(Path(ordercalc.__file__).parents[1]))
     code = ("from ordercalc import canonicalize, parse; "
             "print(canonicalize(parse(' + '.join(['1'] * 3000))).components)")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True,
                           text=True, timeout=60)
     assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "(Scat(atoms=(Fin(n=3000),)),)\n")
 
@@ -229,6 +234,24 @@ def test_classifying_a_long_product_chain_stays_within_a_call_budget():
     assert canon._canon.cache_info().currsize <= 3
 
 
+def test_a_stuck_answer_is_kept():
+    # The cache keeps a Stuck answer as it keeps a form, so asking again
+    # is one lookup.  The kept error was never raised: no traceback holds
+    # the frames of the first call alive.
+    x = T(" + ".join(["Q[1,2]"] * 40) + " + N*(Q+2)")
+    for f in (terms.desugar, canon._canon):
+        f.cache_clear()
+    with pytest.raises(StuckError) as first:
+        canonicalize(x)
+    with pytest.raises(StuckError) as second:
+        with_budget(50, canonicalize, x)
+    assert (str(second.value), second.value.subterm) == (str(first.value), first.value.subterm)
+    assert canon._canon.cache_info().currsize == 1
+    kept = canon._canon(terms.desugar(x))
+    assert isinstance(kept, StuckError)
+    assert kept.__traceback__ is None and kept.__context__ is None
+
+
 def test_two_long_products_with_a_common_suffix_in_one_process():
     # Neither product meets the other's factors in the cache, so no two
     # long chains built apart are compared.
@@ -292,6 +315,51 @@ def test_stuck_names_the_product_that_is_stuck(text, named):
     with pytest.raises(StuckError) as exc:
         canonicalize(T(text))
     assert print_term(exc.value.subterm) == named
+
+
+_PIN_ATOMS = [Empty(), Single(), Finite(2), Finite(3), Omega(), OmegaStar(), Zeta(),
+              Shuffle((Single(),))]
+# Bracketed products that are stuck on their own.
+_PIN_STUCK = [T("N*(Q + 2)"), T("N~*(1 + Q[2])"), T("Z*(Q[1,2] + N)")]
+
+
+def _pin_factor(rng, depth):
+    r = rng.random()
+    if depth == 0 or r < 0.4:
+        return rng.choice(_PIN_ATOMS)
+    if r < 0.55:
+        return Sum(*(_pin_factor(rng, depth - 1) for _ in range(rng.randint(2, 3))))
+    if r < 0.7:
+        return Shuffle(tuple(_pin_factor(rng, depth - 1) for _ in range(rng.randint(1, 3))))
+    if r < 0.8:
+        return Reverse(_pin_factor(rng, depth - 1))
+    if r < 0.92:
+        return _pin_product(rng, depth - 1)
+    return rng.choice(_PIN_STUCK)
+
+
+def _pin_product(rng, depth):
+    return Product(*(_pin_factor(rng, depth) for _ in range(rng.randint(2, 4))))
+
+
+def _canon_outcome(t) -> str:
+    try:
+        return repr(canonicalize(t))
+    except StuckError as e:
+        return f"Stuck {e} {e.subterm!r}"
+
+
+def test_forms_of_generated_products_are_pinned():
+    # 15,000 seeded products of 2-4 factors: sums, shuffles, `~`, `0`
+    # and bracketed stuck products in the index and in the fiber.  Each
+    # term's form, or its Stuck message and subterm, in one digest.
+    fixed = [T(s) for s in ("2*(N*(Q+2))*1", "2*(N*(Q+2))", "(N*(Q+2))*2", "N*(Q+2)*N",
+                            "(2 + N*(Q+2))*1", "Q*(N~*(1+Q[2]))~*0")]
+    rng = random.Random(25)
+    h = hashlib.sha256()
+    for t in fixed + [_pin_product(rng, rng.randint(0, 2)) for _ in range(15000)]:
+        h.update(_canon_outcome(t).encode() + b"\n")
+    assert h.hexdigest() == "a4c60d4c704bd96f78ba5e99bf05fd80e9fe5c70d07107f2c0ea70b505a66f45"
 
 
 def test_structural_only_outside_tame_fragment():
@@ -494,9 +562,7 @@ def test_unpickling_under_another_hash_seed_rehashes():
     # String hashes differ between the two processes (Pow.kind, and the
     # class names every node hash includes); an unpickled node must hash
     # like one built in the process that loads it.
-    import ordercalc
-
-    env = dict(os.environ, PYTHONPATH=str(Path(ordercalc.__file__).parents[1]))
+    env = child_env()
     dumped = subprocess.run([sys.executable, "-c", _DUMP, PICKLED_TERM],
                             env=env | {"PYTHONHASHSEED": "1"}, capture_output=True,
                             check=True, timeout=60).stdout

@@ -9,6 +9,7 @@ import jsonschema
 import pytest
 from hypothesis import HealthCheck, given, seed, settings
 
+from conftest import child_env
 from ordercalc.cli import _COMMANDS, MAX_COUNT, run
 from ordercalc.textio import MAX_DEPTH
 
@@ -232,7 +233,7 @@ def test_commands_on_flat_sum_of_3000_terms(argv, expected):
     # Reversing a long sum, cancelling a long chain of ~ and profiling a
     # sum, however it nests, are loops too.
     proc = subprocess.run([sys.executable, "-m", "ordercalc.cli", *argv],
-                          capture_output=True, text=True, timeout=60)
+                          env=child_env(), capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == expected + "\n"
 
@@ -267,7 +268,7 @@ def test_commands_on_long_product_and_reversal_chains(command, chain, expected):
     # Product spines are walked with loops, as sum spines are, and so are
     # chains of ~: no layer recurses once per factor or once per ~.
     proc = subprocess.run([sys.executable, "-m", "ordercalc.cli", *command.split(), CHAINS[chain]],
-                          capture_output=True, text=True, timeout=60)
+                          env=child_env(), capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == expected + "\n"
 
@@ -298,7 +299,7 @@ def test_oracle_commands_on_3000_part_chains(command, chain, expected):
     text = ORACLE_CHAINS[chain]
     operands = [text, text] if command.startswith("bnf") else [text]
     proc = subprocess.run([sys.executable, "-m", "ordercalc.cli", *command.split(), *operands],
-                          capture_output=True, text=True, timeout=60)
+                          env=child_env(), capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.splitlines()[-1] == expected
 
@@ -311,7 +312,7 @@ def test_commands_on_two_runs_of_3000_tildes(command, expected):
     # == unwinds both runs with a loop.
     chain = CHAINS["tildes-3000"]
     proc = subprocess.run([sys.executable, "-m", "ordercalc.cli", *command.split(), chain, chain],
-                          capture_output=True, text=True, timeout=60)
+                          env=child_env(), capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.splitlines()[-1] == expected
 
@@ -493,6 +494,7 @@ def test_deterministic_output(capsys):
 def test_console_entry_point_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "ordercalc.cli", "norm", "Q[N, Z + Q[N, Z]]"],
+        env=child_env(),
         capture_output=True,
         text=True,
     )

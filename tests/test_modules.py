@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import ordercalc
-from conftest import T
+from conftest import T, child_env
 from ordercalc import canon, classify, profiles, terms, textio
 
 MODULES = sorted(Path(ordercalc.__file__).parent.glob("*.py"))
@@ -180,7 +180,7 @@ print("#", *sorted(m for m in new
 
 def _imported(*argv: str) -> set[str]:
     proc = subprocess.run([sys.executable, "-c", _CHILD, *argv],
-                          capture_output=True, text=True, timeout=60)
+                          env=child_env(), capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     last = proc.stdout.splitlines()[-1].split()
     assert last[0] == "#"

@@ -7,7 +7,7 @@ from functools import cmp_to_key
 import pytest
 from hypothesis import example, given, seed, settings
 
-from conftest import GOLDEN, T, term_strategy
+from conftest import GOLDEN, T, term_strategy, with_budget
 from ordercalc import oracle
 from ordercalc import (
     Finite,
@@ -214,6 +214,17 @@ def test_long_transcripts_are_pinned(x, y, rounds, block_map, digest):
     result = back_and_forth(T(x), T(y), rounds, block_map=block_map)
     assert len(result.pairs) == rounds
     assert hashlib.sha256(repr(result.pairs).encode()).hexdigest() == digest
+
+
+def test_coloured_matching_of_4096_rounds_stays_within_a_call_budget():
+    # Each copy position is computed, not found among the 2^d positions of
+    # its depth d, so the cost grows about linearly in rounds: near 81
+    # thousand Python calls here, against 3.5 million for a scan.  The
+    # digest was taken from the scan.
+    result = with_budget(400_000, back_and_forth, T("Q[1,2]"), T("Q[2,1]"), 4096, {0: 1, 1: 0})
+    assert isinstance(result, PartialIso) and len(result.pairs) == 4096
+    assert hashlib.sha256(repr(result.pairs).encode()).hexdigest() == (
+        "e49919b3b87c5b9af9ac1cac6f5db20c0b63e9790ae95dd7ab88e4ff758a9e0e")
 
 
 def test_colored_identity_shuffle():
