@@ -105,11 +105,15 @@ def _fix_tail(out: list[ScatAtom]) -> None:
 
 
 def _concat_atoms(*parts: tuple[ScatAtom, ...]) -> tuple[ScatAtom, ...]:
+    # Each part is normal, and each rewrite's result merges with the same
+    # right neighbours as its right operand (k+k', N*+k: k's; k+N, N*+N:
+    # none).  So only a part's first atom can merge: the rest is copied.
     out: list[ScatAtom] = []
     for part in parts:
-        for atom in part:
-            out.append(atom)
+        if part:
+            out.append(part[0])
             _fix_tail(out)
+            out += part[1:]
     return tuple(out)
 
 
@@ -213,14 +217,18 @@ def _atom_key(a: ScatAtom):
     raise AssertionError
 
 
-def _comp_key(c: Scat | Shuf):
+def _comp_key(c: Scat | Shuf, keys: dict):
     if isinstance(c, Scat):
         return (0, tuple(_atom_key(a) for a in c.atoms))
-    return (1, tuple(_form_key(b) for b in c.blocks))
+    return (1, tuple(_form_key(b, keys) for b in c.blocks))
 
 
-def _form_key(cf: CanonicalForm):
-    return tuple(_comp_key(c) for c in cf.components)
+def _form_key(cf: CanonicalForm, keys: dict):
+    # keys holds the sort keys that one canonicalization has computed.
+    key = keys.get(cf)
+    if key is None:
+        key = keys[cf] = tuple(_comp_key(c, keys) for c in cf.components)
+    return key
 
 
 # --- equality (identity of canonical forms) ---
@@ -261,7 +269,7 @@ def _push(out: list, comp) -> None:
         len(out) >= 2
         and isinstance(out[-1], Scat)
         and out[-2] == comp
-        and CanonicalForm((out[-1],)) in comp.blocks
+        and any(b.components == (out[-1],) for b in comp.blocks)
     ):
         # Q[A] + s + Q[A] with s a block of A: the junction copy of s
         # dissolves into the surrounding dense mixture.
@@ -271,14 +279,25 @@ def _push(out: list, comp) -> None:
 
 
 def concat_components(*lists) -> tuple:
-    """Concatenate component sequences, applying the junction merge rules."""
+    """Concatenate normal component sequences, applying the junction merge rules.
+
+    Each list is normal, as a canonical form's components and their
+    slices are: no merge rule fires inside it.  ``_push`` looks back two
+    components only when the last one is scattered, so once a list's
+    first shuffle is pushed, and it (or an equal one) ends the output,
+    pushing the rest of the list changes nothing: it is copied in bulk,
+    but for a trailing scattered part, which stays in the run to join
+    the next list's.  Merging thus happens only at the junctions, and n
+    copies cost log n junction steps plus copying.  ``_concat_atoms``
+    does the same with atoms.
+    """
     out: list = []
     # Consecutive scattered parts are joined in one pass: pushing them
     # one at a time would renormalize the growing part for each one,
     # quadratic in the length of a long sum.
     run: list[Scat] = []
     for comps in lists:
-        for comp in comps:
+        for i, comp in enumerate(comps):
             if isinstance(comp, Scat):
                 run.append(comp)
                 continue
@@ -286,6 +305,10 @@ def concat_components(*lists) -> tuple:
                 _push(out, _join(run))
                 run = []
             _push(out, comp)
+            end = len(comps) - isinstance(comps[-1], Scat)
+            out += comps[i + 1:end]
+            run += comps[end:]
+            break
     if run:
         _push(out, _join(run))
     return tuple(out)
@@ -299,36 +322,41 @@ def _repeat_form(cf: CanonicalForm, n: int) -> CanonicalForm:
     match cf.components:
         case (Scat((Fin(k),)),):  # n copies of k points, in one step
             return CanonicalForm((Scat((Fin(n * k),)),))
+        case (Scat(atoms),):  # one Scat node, built (and hashed) once
+            return CanonicalForm((Scat(_repeat(_concat_atoms, atoms, n)),))
+    return CanonicalForm(_repeat(concat_components, cf.components, n))
+
+
+def _repeat(concat, piece: tuple, n: int) -> tuple:
+    # n copies of piece by doubling: about 2 log n concatenations.
     result: tuple = ()
-    piece = cf.components
     while n:
         if n & 1:
-            result = concat_components(result, piece)
+            result = concat(result, piece)
         n >>= 1
         if n:
-            piece = concat_components(piece, piece)
-    return CanonicalForm(result)
+            piece = concat(piece, piece)
+    return result
 
 
 # --- shuffle normalization (minimal representations) ---
 
 
-def _dedup_sort(blocks) -> tuple[CanonicalForm, ...]:
-    return tuple(sorted(set(blocks), key=_form_key))
+def _dedup_sort(blocks, keys: dict) -> tuple[CanonicalForm, ...]:
+    return tuple(sorted(set(blocks), key=lambda b: _form_key(b, keys)))
 
 
 def _try_flatten(blocks: tuple[CanonicalForm, ...]) -> tuple[CanonicalForm, ...] | None:
     for j in blocks:
-        inner_sets = [c for c in j.components if isinstance(c, Shuf)]
+        inner_sets = [c.blocks for c in j.components if isinstance(c, Shuf)]
         if not inner_sets:
             continue
-        pieces = [b for b in blocks if b != j]
-        for shuf in inner_sets:
-            pieces.extend(shuf.blocks)
+        pieces = {b for b in blocks if b != j}
+        for inner in inner_sets:
+            pieces.update(inner)
         for comp in j.components:
             if isinstance(comp, Scat) and comp.atoms:
-                pieces.append(CanonicalForm((comp,)))
-        candidate = _dedup_sort(pieces)
+                pieces.add(CanonicalForm((comp,)))
         # Flattening a composite block is only an isomorphism when the
         # combined block set reproduces every one of the block's inner
         # sets: then every inner shuffle is dense in every block of the
@@ -336,14 +364,15 @@ def _try_flatten(blocks: tuple[CanonicalForm, ...]) -> tuple[CanonicalForm, ...]
         # chunk 1 + Q[Z] contains no convex copy of Q[1, Z].  Nor is
         # Q[Q[1,2] + Q] the Q[1,2] that matching one inner set would
         # give: every copy of its block ends in an interval with no
-        # successor pair, and Q[1,2] has no such interval.
-        if all(candidate == shuf.blocks for shuf in inner_sets):
-            return candidate
+        # successor pair, and Q[1,2] has no such interval.  Inner sets are
+        # sorted and duplicate-free, so comparing them as sets suffices.
+        if all(pieces == set(inner) for inner in inner_sets):
+            return inner_sets[0]
     return None
 
 
-def _canon_shuffle(blocks) -> Shuf:
-    blocks = _dedup_sort(blocks)
+def _canon_shuffle(blocks, keys: dict) -> Shuf:
+    blocks = _dedup_sort(blocks, keys)
     while True:
         candidate = _try_flatten(blocks)
         if candidate is None:
@@ -381,13 +410,13 @@ def _canon(t: OrderTerm) -> CanonicalForm | StuckError:
     # The order t is t copies of one point.  A Stuck answer is kept as a
     # fresh error: the caught one holds the frames of its traceback.
     try:
-        return _times(t, ONE_FORM)
+        return _times(t, ONE_FORM, {})
     except StuckError as e:
         return StuckError(e.subterm)
 
 
-def _times(x: OrderTerm, cf: CanonicalForm) -> CanonicalForm:
-    """The form of x copies of the order whose form is cf."""
+def _times(x: OrderTerm, cf: CanonicalForm, keys: dict) -> CanonicalForm:
+    """The form of x copies of the order whose form is cf (keys: see _form_key)."""
     match x:
         case Empty():
             return EMPTY_FORM
@@ -396,16 +425,16 @@ def _times(x: OrderTerm, cf: CanonicalForm) -> CanonicalForm:
         case Finite(n):
             return _repeat_form(cf, n)
         case Sum(parts):
-            return CanonicalForm(concat_components(*(_times(a, cf).components for a in parts)))
+            return CanonicalForm(concat_components(*(_times(a, cf, keys).components for a in parts)))
         case Shuffle(blocks):
-            return CanonicalForm((_canon_shuffle([_times(b, cf) for b in blocks]),))
+            return CanonicalForm((_canon_shuffle([_times(b, cf, keys) for b in blocks], keys),))
         case Product(parts):
             # x1*...*xk*y is x1 copies of ... xk copies of y: the index
             # acts on the fiber's form.  Stuck there, name this input node.
-            cf = _times(parts[-1], cf)
+            cf = _times(parts[-1], cf, keys)
             try:
                 for p in reversed(parts[:-1]):
-                    cf = _times(p, cf)
+                    cf = _times(p, cf, keys)
             except StuckError:
                 raise StuckError(x) from None
             return cf
@@ -504,7 +533,7 @@ def reverse_form(cf: CanonicalForm) -> CanonicalForm:
         if isinstance(comp, Scat):
             comps.append(Scat(_atoms_reverse(comp.atoms)))
         else:
-            comps.append(Shuf(_dedup_sort(reverse_form(b) for b in comp.blocks)))
+            comps.append(Shuf(_dedup_sort((reverse_form(b) for b in comp.blocks), {})))
     return CanonicalForm(tuple(comps))
 
 

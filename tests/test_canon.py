@@ -12,7 +12,7 @@ import pytest
 import hypothesis.strategies as st
 from hypothesis import given, seed, settings
 
-from conftest import GOLDEN, T, child_env, term_strategy, with_budget
+from conftest import GOLDEN, T, child_env, shaped_terms, term_strategy, with_budget
 from ordercalc import (
     CanonicalForm,
     Empty,
@@ -215,7 +215,7 @@ def test_equal_powers_and_their_unrollings_have_equal_profiles(x, kappa):
 def test_canonicalizing_the_untame_reference_term_stays_within_a_call_budget():
     # The benchmark's untame reference term: its form holds Pow atoms
     # inside shuffle blocks, and comparing forms with == keeps
-    # canonicalizing it near 13 thousand Python calls.
+    # canonicalizing it near 5 thousand Python calls.
     x = T("(Q[Q[Q[Z,N~],2,6],N~ + (6)*(8)])*((Z + 6 + 9)*(4 + 8 + N + 1))")
     for f in (terms.desugar, canon._canon):
         f.cache_clear()
@@ -360,6 +360,148 @@ def test_forms_of_generated_products_are_pinned():
     for t in fixed + [_pin_product(rng, rng.randint(0, 2)) for _ in range(15000)]:
         h.update(_canon_outcome(t).encode() + b"\n")
     assert h.hexdigest() == "a4c60d4c704bd96f78ba5e99bf05fd80e9fe5c70d07107f2c0ea70b505a66f45"
+
+
+# --- concatenation only at the junctions ---
+
+
+def _push_every_atom(*parts):
+    # The reference: every atom of every part goes through _fix_tail.
+    out = []
+    for part in parts:
+        for atom in part:
+            out.append(atom)
+            canon._fix_tail(out)
+    return tuple(out)
+
+
+def _push_every_component(*lists):
+    # The reference: every component of every list goes through _push.
+    out, run = [], []
+    for comps in lists:
+        for comp in comps:
+            if isinstance(comp, Scat):
+                run.append(comp)
+                continue
+            if run:
+                canon._push(out, run[0] if len(run) == 1
+                            else Scat(_push_every_atom(*(c.atoms for c in run))))
+                run = []
+            canon._push(out, comp)
+    if run:
+        canon._push(out, run[0] if len(run) == 1
+                    else Scat(_push_every_atom(*(c.atoms for c in run))))
+    return tuple(out)
+
+
+def _concat_inputs(rng, seqs):
+    # Pairs, triples, 2-9 copies and the slices c[i:] + c[:i+1] that a
+    # kappa index or a power's rotation concatenates.
+    for c in seqs:
+        other = rng.choice(seqs)
+        yield c, other
+        yield other, c, other
+        yield (c,) * rng.randint(2, 9)
+        for i in rng.sample(range(len(c)), min(len(c), 3)):
+            yield c[i:], c[:i + 1]
+            yield c[:i + 1], c[i:]
+
+
+def _scat_atoms(cf):
+    for comp in cf.components:
+        if isinstance(comp, Scat):
+            yield comp.atoms
+        else:
+            for b in comp.blocks:
+                yield from _scat_atoms(b)
+
+
+_REP_ATOMS = [Single(), Finite(2), Finite(3), Omega(), OmegaStar(), Zeta()]
+_REP_KAPPAS = [Omega(), OmegaStar(), Zeta()]
+
+
+def _rep_sum(rng, pool, depth):
+    # Shuffles of the pool, atoms from it and mirrors, beside one product
+    # nested a level deeper: finite factors 2-9, now and then N, N~ or Z.
+    parts = []
+    for _ in range(rng.randint(1, 2)):
+        r = rng.random()
+        if depth and r < 0.45 and not parts:
+            index = rng.choice(_REP_KAPPAS) if r < 0.05 else Finite(rng.randint(2, 9))
+            parts.append(Product(index, _rep_sum(rng, pool, depth - 1)))
+        elif r < 0.75:
+            parts.append(Shuffle(tuple(pool)))
+        elif depth and r < 0.82:
+            parts.append(Reverse(_rep_sum(rng, pool, depth - 1)))
+        else:
+            parts.append(rng.choice(pool))
+    return parts[0] if len(parts) == 1 else Sum(*parts)
+
+
+def _rep_term(rng):
+    # Finite factors nested 2-3 deep over a pool of two atoms.
+    pool = [rng.choice(_REP_ATOMS) for _ in range(2)]
+    return Product(Finite(rng.randint(2, 9)), _rep_sum(rng, pool, 1 + (rng.random() < 0.3)))
+
+
+def test_junction_only_concatenation_equals_pushing_every_item():
+    # Forms of 2,000 generated terms and their mirrors: concatenating
+    # them, their copies and their slices, and their scattered parts'
+    # atoms likewise, gives what pushing every item through the merge
+    # rules gives.
+    rng = random.Random(27)
+    forms = []
+    for t in [T(s) for s in shaped_terms(27, 1000)] + [_rep_term(rng) for _ in range(1000)]:
+        try:
+            cf = canonicalize(t)
+        except StuckError:
+            continue
+        forms += [cf, reverse_form(cf)]
+    assert len(forms) > 3600
+    comps = list(dict.fromkeys(cf.components for cf in forms))
+    atoms = list(dict.fromkeys(a for cf in forms for a in _scat_atoms(cf)))
+    for lists in _concat_inputs(rng, comps):
+        assert canon.concat_components(*lists) == _push_every_component(*lists), lists
+    for parts in _concat_inputs(rng, atoms):
+        assert canon._concat_atoms(*parts) == _push_every_atom(*parts), parts
+
+
+def test_forms_of_repeat_heavy_terms_are_pinned():
+    # 20,000 seeded terms of finite factors nested 2-3 deep over sums
+    # with shuffles, `~`, N, N~ and Z: each term's form and its printed
+    # term, or its Stuck message and subterm, in one digest.
+    rng = random.Random(27)
+    h = hashlib.sha256()
+    for t in [_rep_term(rng) for _ in range(20000)]:
+        try:
+            cf = canonicalize(t)
+        except StuckError as e:
+            out = f"Stuck {e} {e.subterm!r}"
+        else:
+            out = f"{cf!r} {print_term(cf_to_term(cf))}"
+        h.update(out.encode() + b"\n")
+    assert h.hexdigest() == "8986ef9b966719d3cb19b82b0b06c842b317e10421f1727e2012d0dec67e8430"
+
+
+def _cold_canonicalize(calls, text):
+    x = T(text)
+    for f in (terms.desugar, canon._canon):
+        f.cache_clear()
+    return with_budget(calls, canonicalize, x)
+
+
+def test_nested_copies_are_merged_only_at_their_junctions():
+    # 210 copies of three components, none merging with the next: each
+    # doubling pushes the components at one junction and copies the rest.
+    cf = _cold_canonicalize(6_000, "7*(6*(5*(Q[2,N] + 3 + Q[Z])))")
+    assert cf.components == canonicalize(T("Q[2,N] + 3 + Q[Z]")).components * 210
+
+
+def test_copies_of_a_scattered_part_are_merged_only_at_their_junctions():
+    # 10,000 copies of N + 1 + N~, where each junction N~ + N is Z.  Most
+    # of the budget hashes the atoms of the Scat nodes the doublings build.
+    cf = _cold_canonicalize(80_000, "10000*(N+1+N~)")
+    assert cf.components == (Scat((W(),) + (Fin(1), Zat()) * 9999 + (Fin(1), Wstar())),)
 
 
 def test_structural_only_outside_tame_fragment():
