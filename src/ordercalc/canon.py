@@ -2,13 +2,20 @@
 equality, segment decisions, and rendering as terms or DOT digraphs.
 
 A canonical form is an alternating sequence of scattered parts and
-shuffle nodes whose block sets are minimal: no block contains a convex
-copy of the shuffle.  Equality of canonical forms is ``==``.  On the
-tame fragment (scattered parts built from finite atoms, N, N*, Z only)
-it decides isomorphism.  Scattered parts that need an infinite-power
-atom (Pow) have no normal form yet: outside the tame fragment, Equal
-means identical forms, and different forms are StructuralOnly, never a
-wrong verdict.  Segment queries refuse such forms.
+shuffle nodes whose block sets are minimal.  One rule flattens them:
+Q[B] is Q[I] when I is the block set of a shuffle inside a block of B,
+and each block of B is a block of I or is made of shuffles Q[I] and of
+scattered parts that are blocks of I.  Equality of canonical forms is
+``==``.  On the tame fragment (scattered parts built from finite atoms,
+N, N*, Z only) it decides isomorphism as far as tame forms are unique,
+which is argued, not proven.  Open are blocks holding shuffles of other
+block sets or scattered parts outside their inner set (Q[Q[1,2] + Q],
+Q[1 + Q[Z]]), and a scattered part between two equal shuffles that is
+no block of theirs (Q[Z] + 2 + Q[Z]); an interval found case by case
+tells each apart.  Scattered parts that need an infinite-power atom
+(Pow) have no normal form yet: outside the tame fragment, Equal means
+identical forms, and different forms are StructuralOnly, never a wrong
+verdict.  Segment queries refuse such forms.
 
 A term t is t copies of one point: one walk (``_times``) applies an index
 to a fiber's form, and the form of t is t applied to ONE_FORM.
@@ -347,37 +354,27 @@ def _dedup_sort(blocks, keys: dict) -> tuple[CanonicalForm, ...]:
 
 
 def _try_flatten(blocks: tuple[CanonicalForm, ...]) -> tuple[CanonicalForm, ...] | None:
+    # The rule of the module docstring.  A block outside I holds a Q[I]
+    # and is dense in Q[B]; cut into blocks of I, Q[B] is a dense order
+    # of their copies without endpoints, with a Q[I] between any two, so
+    # every colour of I is dense.  Q[1 + Q[Z]] is not Q[Z] (1 is no block
+    # of {Z}), nor is Q[Q[1,2] + Q] Q[1,2] (Q is no Q[1,2]).  I is the
+    # block set of a canonical shuffle, so it flattens no further.
     for j in blocks:
-        inner_sets = [c.blocks for c in j.components if isinstance(c, Shuf)]
-        if not inner_sets:
-            continue
-        pieces = {b for b in blocks if b != j}
-        for inner in inner_sets:
-            pieces.update(inner)
-        for comp in j.components:
-            if isinstance(comp, Scat) and comp.atoms:
-                pieces.add(CanonicalForm((comp,)))
-        # Flattening a composite block is only an isomorphism when the
-        # combined block set reproduces every one of the block's inner
-        # sets: then every inner shuffle is dense in every block of the
-        # result, and so is the whole.  Q[1 + Q[Z]] is not Q[1, Z]: the
-        # chunk 1 + Q[Z] contains no convex copy of Q[1, Z].  Nor is
-        # Q[Q[1,2] + Q] the Q[1,2] that matching one inner set would
-        # give: every copy of its block ends in an interval with no
-        # successor pair, and Q[1,2] has no such interval.  Inner sets are
-        # sorted and duplicate-free, so comparing them as sets suffices.
-        if all(pieces == set(inner) for inner in inner_sets):
-            return inner_sets[0]
+        for inner in j.components:
+            if isinstance(inner, Shuf) and all(
+                b in inner.blocks or all(
+                    c == inner if isinstance(c, Shuf) else CanonicalForm((c,)) in inner.blocks
+                    for c in b.components)
+                for b in blocks
+            ):
+                return inner.blocks
     return None
 
 
 def _canon_shuffle(blocks, keys: dict) -> Shuf:
     blocks = _dedup_sort(blocks, keys)
-    while True:
-        candidate = _try_flatten(blocks)
-        if candidate is None:
-            break
-        blocks = candidate
+    blocks = _try_flatten(blocks) or blocks
     for j in blocks:
         for comp in j.components:
             if isinstance(comp, Shuf) and comp.blocks == blocks:

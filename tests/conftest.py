@@ -98,6 +98,21 @@ def shaped_terms(seed: int, count: int) -> list[str]:
     return out
 
 
+def dense_term(rng: random.Random, depth: int) -> str:
+    """A dense order without endpoints, built from Q, shuffles of dense
+    blocks and single points, sums, and products with such a fiber."""
+    def piece():
+        return rng.choice(["1", "1 + Q", "Q + 1", "1 + Q + 1", dense_term(rng, depth - 1)])
+    r = rng.random()
+    if depth == 0 or r < 0.3:
+        return "Q"
+    if r < 0.55:
+        return "Q[" + ",".join(piece() for _ in range(rng.randint(1, 3))) + "]"
+    if r < 0.8:
+        return f"{dense_term(rng, depth - 1)} + {dense_term(rng, depth - 1)}"
+    return f"({dense_term(rng, depth - 1)})*({piece()})"
+
+
 _ATOMS = st.sampled_from(
     [Single(), Finite(2), Finite(3), Omega(), OmegaStar(), Zeta()]
 )

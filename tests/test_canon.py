@@ -12,7 +12,7 @@ import pytest
 import hypothesis.strategies as st
 from hypothesis import given, seed, settings
 
-from conftest import GOLDEN, T, child_env, shaped_terms, term_strategy, with_budget
+from conftest import GOLDEN, T, child_env, dense_term, shaped_terms, term_strategy, with_budget
 from ordercalc import (
     CanonicalForm,
     Empty,
@@ -126,8 +126,8 @@ def test_product_absorbs_junction():
 
 
 def test_non_flattening_regression():
-    # Q[1 + Q[Z]] must keep its single composite block: the candidate
-    # flattened set {1, Z} does not match the inner set {Z}.
+    # Q[1 + Q[Z]] must keep its single composite block: its scattered
+    # part 1 is no block of the inner set {Z}.
     cf = canonicalize(T("Q[1 + Q[Z]]"))
     assert len(cf.components) == 1
     shuf = cf.components[0]
@@ -147,9 +147,35 @@ def test_non_flattening_regression():
 
 
 
+# Dense orders without endpoints: one generator per seed and depth.
+DENSE_PREFIX = [dense_term(random.Random(seed), depth)
+                for seed in range(2000) for depth in (2, 3, 4)]
+
+
+def test_dense_terms_reach_the_form_of_their_dense_class():
+    # A countable dense order is Q, 1 + Q, Q + 1 or 1 + Q + 1, by its
+    # endpoints (Cantor): the form must not depend on how it was built.
+    # Q[1 + Q,Q] is one, and neither of its blocks flattens it alone.
+    forms = {cls: canonicalize(T(s)) for cls, s in
+             (("Q", "Q"), ("OneQ", "1 + Q"), ("QOne", "Q + 1"), ("OneQOne", "1 + Q + 1"))}
+    for s in DENSE_PREFIX:
+        x = T(s)
+        assert canonicalize(x) == forms[profile(x).dense_class.value], s
+
+
+@pytest.mark.parametrize("text, form", [
+    ("Q[1+Q,Q]", "Q"), ("Q[Q,1,Q+1]", "Q"), ("Q[Q[2],Q[2] + 2]", "Q[2]"),
+    ("Q[Z + Q[Z],Q[Z]]", "Q[Z]"), ("Q[N + Q[N,N~,Z],Q[N,N~,Z]]", "Q[N,N~,Z]"),
+])
+def test_blocks_made_of_one_inner_shuffle_flatten_together(text, form):
+    # Every block outside the inner set I is made of Q[I] and blocks of
+    # I, so Q[B] is Q[I], though no block flattens on its own.
+    assert norm(text) == form
+
+
 def test_no_flattening_when_one_inner_set_differs():
-    # The block Q[1,2] + Q has the inner sets {1, 2} and {1}; the merged
-    # set {1, 2} reproduces only the first.  Every copy of the block ends
+    # The block Q[1,2] + Q has the inner sets {1, 2} and {1}, and for
+    # neither is it made of that one shuffle.  Every copy of the block ends
     # in an interval with no successor pair, which Q[1,2] lacks.
     assert norm("Q[Q[1,2] + Q]") == "Q[Q[1,2] + Q]"
     flat = cf_equal(canonicalize(T("Q[Q[1,2] + Q]")), canonicalize(T("Q[1,2]")))
@@ -359,7 +385,7 @@ def test_forms_of_generated_products_are_pinned():
     h = hashlib.sha256()
     for t in fixed + [_pin_product(rng, rng.randint(0, 2)) for _ in range(15000)]:
         h.update(_canon_outcome(t).encode() + b"\n")
-    assert h.hexdigest() == "a4c60d4c704bd96f78ba5e99bf05fd80e9fe5c70d07107f2c0ea70b505a66f45"
+    assert h.hexdigest() == "4bafb7214e77c57b70a2e14160d18804504c72969a2480d9c178b8327b8245c5"
 
 
 # --- concatenation only at the junctions ---
@@ -556,9 +582,18 @@ def test_minimality_on_corpus():
                 for b in comp.blocks:
                     yield from shuf_nodes(b)
 
-    for s in GOLDEN:
-        for shuf in shuf_nodes(canonicalize(T(s))):
-            assert _try_flatten(shuf.blocks) is None, s
+    # Every shuffle node, and its mirror, of the golden forms, the dense
+    # prefix and 5,000 generated products is a fixed point of the one
+    # flatten rule: flattening once is enough.
+    rng = random.Random(28)
+    for t in [T(s) for s in GOLDEN + DENSE_PREFIX] + [_pin_product(rng, 2) for _ in range(5000)]:
+        try:
+            cf = canonicalize(t)
+        except StuckError:
+            continue
+        for form in (cf, reverse_form(cf)):
+            for shuf in shuf_nodes(form):
+                assert _try_flatten(shuf.blocks) is None, t
 
 
 def test_blocks_sorted_and_duplicate_free():

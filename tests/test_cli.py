@@ -539,6 +539,16 @@ PINNED = [
     (["classify", "--json", "N*N+Q[Z]"], 3,
      '{"command": "classify", "error": {"kind": "Unsupported", "message": "canonical form '
      'has scattered parts outside the tame fragment"}, "input": "N*N+Q[Z]"}'),
+    # Q[1+Q,Q] is Q: these answer as Q, Q + 1 and 1 + Q do.
+    (["classify", "Q+Q[1+Q,Q]"], 0, "case 1\nL: 0\nblocks: [1]\nR: 0"),
+    (["absorbs", "N", "Q+Q[1+Q,Q]"], 0, "true"),
+    (["absorbs", "2", "Q[1+Q,Q]+1"], 0, "true"),
+    (["spectrum", "1+Q[1+Q,Q]"], 0, "HasLeft"),
+    # Shuffles that do not flatten: some interval of each misses a colour.
+    (["norm", "Q[1+Q,2]"], 0, "Q[1 + Q,2]"),
+    (["norm", "Q[Q[1,2]+Q]"], 0, "Q[Q[1,2] + Q]"),
+    (["norm", "Q[Q[1,2]+3,1,2]"], 0, "Q[1,2,Q[1,2] + 3]"),
+    (["norm", "Q[1+Q[Z]]"], 0, "Q[1 + Q[Z]]"),
 ]
 
 

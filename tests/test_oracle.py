@@ -7,7 +7,7 @@ from functools import cmp_to_key
 import pytest
 from hypothesis import example, given, seed, settings
 
-from conftest import GOLDEN, T, term_strategy, with_budget
+from conftest import GOLDEN, T, dense_term, term_strategy, with_budget
 from ordercalc import oracle
 from ordercalc import (
     Finite,
@@ -425,32 +425,17 @@ def test_cross_check_finds_no_counterexample_on_generated_terms(t):
     assert not report.failed, report.to_text()
 
 
-def _dense_term(rng, depth):
-    # A dense order without endpoints, built from Q, shuffles of dense
-    # blocks and single points, sums, and products with such a fiber.
-    def piece():
-        return rng.choice(["1", "1 + Q", "Q + 1", "1 + Q + 1", _dense_term(rng, depth - 1)])
-    r = rng.random()
-    if depth == 0 or r < 0.3:
-        return "Q"
-    if r < 0.55:
-        return "Q[" + ",".join(piece() for _ in range(rng.randint(1, 3))) + "]"
-    if r < 0.8:
-        return f"{_dense_term(rng, depth - 1)} + {_dense_term(rng, depth - 1)}"
-    return f"({_dense_term(rng, depth - 1)})*({piece()})"
-
-
 @pytest.mark.parametrize("seed", range(3))
 def test_back_and_forth_pairs_preserve_order(seed):
     # Two realizations of Q always match for 64 rounds, and so does a
     # shuffle with a block permutation of itself; every transcript is a
     # partial isomorphism, and the coloured one keeps block indices.
     rng = random.Random(seed)
-    x, y = T(_dense_term(rng, 3)), T(_dense_term(rng, 3))
+    x, y = T(dense_term(rng, 3)), T(dense_term(rng, 3))
     result = back_and_forth(x, y, 64)
     assert isinstance(result, PartialIso) and len(result.pairs) == 64
     _check_partial_iso(x, y, result.pairs)
-    choices = ["1", "2", "N", "N~", "Z", _dense_term(rng, 2)]
+    choices = ["1", "2", "N", "N~", "Z", dense_term(rng, 2)]
     blocks = list(dict.fromkeys(rng.choice(choices) for _ in range(3)))
     perm = list(range(len(blocks)))
     rng.shuffle(perm)
