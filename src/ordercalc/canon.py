@@ -19,6 +19,11 @@ verdict.  Segment queries refuse such forms.
 
 A term t is t copies of one point: one walk (``_times``) applies an index
 to a fiber's form, and the form of t is t applied to ONE_FORM.
+
+Each infinite atom (N, N*, Z) is one row of ``_KINDS``: its rank in
+block order, the Pow kind it indexes, its term, its mirror image and the
+atoms whose orders are its initial segments.  ``_MERGE`` holds the
+junction rewrites k+N -> N, N*+k -> N* and N*+N -> Z.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from __future__ import annotations
 from enum import Enum
 from functools import cache
 from itertools import count
+from typing import NamedTuple
 
 from .terms import (
     Empty,
@@ -94,19 +100,34 @@ class Pow(ScatAtom):
     body: tuple[ScatAtom, ...]
 
 
+class _Kind(NamedTuple):
+    rank: int  # in block order: after every Fin, before every Pow
+    kind: str  # the Pow kind the atom's term indexes
+    term: OrderTerm
+    mirror: type[ScatAtom]
+    initial: tuple[type[ScatAtom], ...]  # atoms whose orders are its initial segments
+
+
+# The infinite atoms, one row each.
+_KINDS = {
+    W: _Kind(1, "N", Omega(), Wstar, (Fin, W)),
+    Wstar: _Kind(2, "N~", OmegaStar(), W, (Wstar,)),
+    Zat: _Kind(3, "Z", Zeta(), Zat, (Wstar, Zat)),
+}
+_BY_KIND = {row.kind: row for row in _KINDS.values()}
+_KAPPA = {row.term: (row.kind, atom()) for atom, row in _KINDS.items()}
+
+# Junction rewrites besides k+k' -> (k+k'), each strictly shortening.
+_MERGE = {(Fin, W): W(), (Wstar, Fin): Wstar(), (Wstar, W): Zat()}
+
+
 def _fix_tail(out: list[ScatAtom]) -> None:
-    # Junction rewrites, each strictly shortens: k+k' -> (k+k'),
-    # k+N -> N, N*+k -> N*, N*+N -> Z.
     while len(out) >= 2:
         a, b = out[-2], out[-1]
-        if isinstance(a, Fin) and isinstance(b, Fin):
+        if type(a) is Fin and type(b) is Fin:
             out[-2:] = [Fin(a.n + b.n)]
-        elif isinstance(a, Fin) and isinstance(b, W):
-            out[-2:] = [W()]
-        elif isinstance(a, Wstar) and isinstance(b, Fin):
-            out[-2:] = [Wstar()]
-        elif isinstance(a, Wstar) and isinstance(b, W):
-            out[-2:] = [Zat()]
+        elif (m := _MERGE.get((type(a), type(b)))) is not None:
+            out[-2:] = [m]
         else:
             break
 
@@ -122,12 +143,6 @@ def _concat_atoms(*parts: tuple[ScatAtom, ...]) -> tuple[ScatAtom, ...]:
             _fix_tail(out)
             out += part[1:]
     return tuple(out)
-
-
-# The infinite atoms: each term, the Pow kind it indexes, and its atom.
-_KAPPA = {Omega(): ("N", W()), OmegaStar(): ("N~", Wstar()), Zeta(): ("Z", Zat())}
-_KAPPA_HEAD = {kind: t for t, (kind, _) in _KAPPA.items()}
-_REV_KIND = {"N": "N~", "N~": "N", "Z": "Z"}
 
 
 def _pow_atoms(kind: str, body: tuple[ScatAtom, ...]) -> tuple[ScatAtom, ...]:
@@ -150,15 +165,11 @@ def _pow_atoms(kind: str, body: tuple[ScatAtom, ...]) -> tuple[ScatAtom, ...]:
 
 def _atom_reverse(a: ScatAtom) -> ScatAtom:
     match a:
-        case Fin() | Zat():
+        case Fin():
             return a
-        case W():
-            return Wstar()
-        case Wstar():
-            return W()
         case Pow(kind, body):
-            return Pow(_REV_KIND[kind], _atoms_reverse(body))
-    raise AssertionError
+            return Pow(_KINDS[_BY_KIND[kind].mirror].kind, _atoms_reverse(body))
+    return _KINDS[type(a)].mirror()
 
 
 def _atoms_reverse(atoms: tuple[ScatAtom, ...]) -> tuple[ScatAtom, ...]:
@@ -206,22 +217,15 @@ class CanonicalForm:
 EMPTY_FORM = CanonicalForm(())
 ONE_FORM = CanonicalForm((Scat((Fin(1),)),))
 
-_KIND_RANK = {"N": 0, "N~": 1, "Z": 2}
-
 
 def _atom_key(a: ScatAtom):
+    # Pow kinds sort as their strings do: N < N~ < Z.
     match a:
         case Fin(n):
             return (0, n)
-        case W():
-            return (1, 0)
-        case Wstar():
-            return (2, 0)
-        case Zat():
-            return (3, 0)
         case Pow(kind, body):
-            return (4, _KIND_RANK[kind], tuple(_atom_key(x) for x in body))
-    raise AssertionError
+            return (4, kind, tuple(_atom_key(x) for x in body))
+    return (_KINDS[type(a)].rank, 0)
 
 
 def _comp_key(c: Scat | Shuf, keys: dict):
@@ -462,15 +466,9 @@ def _atom_term(a: ScatAtom) -> OrderTerm:
             return Single()
         case Fin(n):
             return Finite(n)
-        case W():
-            return Omega()
-        case Wstar():
-            return OmegaStar()
-        case Zat():
-            return Zeta()
         case Pow(kind, body):
-            return Product(_KAPPA_HEAD[kind], _atoms_term(body))
-    raise AssertionError
+            return Product(_BY_KIND[kind].term, _atoms_term(body))
+    return _KINDS[type(a)].term
 
 
 def _atoms_term(atoms: tuple[ScatAtom, ...]) -> OrderTerm:
@@ -539,16 +537,9 @@ def reverse_form(cf: CanonicalForm) -> CanonicalForm:
 
 def _atom_initial(a: ScatAtom, b: ScatAtom) -> bool:
     # Is the order of atom a a (possibly improper) initial segment of b?
-    match b:
-        case Fin(k):
-            return isinstance(a, Fin) and a.n <= k
-        case W():
-            return isinstance(a, (Fin, W))
-        case Wstar():
-            return isinstance(a, Wstar)
-        case Zat():
-            return isinstance(a, (Wstar, Zat))
-    raise AssertionError
+    if isinstance(b, Fin):
+        return isinstance(a, Fin) and a.n <= b.n
+    return isinstance(a, _KINDS[type(b)].initial)
 
 
 def _atoms_initial(x: tuple[ScatAtom, ...], y: tuple[ScatAtom, ...]) -> bool:
@@ -561,23 +552,26 @@ def _atoms_initial(x: tuple[ScatAtom, ...], y: tuple[ScatAtom, ...]) -> bool:
     return _atom_initial(x[-1], y[len(x) - 1])
 
 
-def _is_initial(s: tuple, t: tuple) -> bool:
-    if not s:
+def _is_initial(s: tuple, t: tuple, i: int = 0) -> bool:
+    # Is s[i:] an initial segment of t?  Walk the components they share.
+    # A cut inside a shared shuffle leaves the whole shuffle plus an
+    # initial chunk of one block, so after each shared shuffle the rest
+    # of s may also be an initial segment of one of its blocks: only there
+    # does the walk recurse, as deep as the brackets nest.
+    n = 0
+    while i + n < len(s) and n < len(t) and s[i + n] == t[n]:
+        n += 1
+    if i + n == len(s):
         return True
-    if not t:
-        return False
-    d, c = s[0], t[0]
-    if d == c:
-        if _is_initial(s[1:], t[1:]):
+    if n < len(t) and i + n == len(s) - 1:
+        d, c = s[-1], t[n]
+        if isinstance(d, Scat) and isinstance(c, Scat) and _atoms_initial(d.atoms, c.atoms):
             return True
-        if isinstance(c, Shuf) and len(s) > 1:
-            # A cut inside the shuffle leaves the whole shuffle plus an
-            # initial chunk of one block; nothing of t beyond c survives.
-            return any(_is_initial(s[1:], j.components) for j in c.blocks)
-        return False
-    if len(s) == 1 and isinstance(d, Scat) and isinstance(c, Scat):
-        return _atoms_initial(d.atoms, c.atoms)
-    return False
+    return any(
+        _is_initial(s, j.components, i + m + 1)
+        for m in reversed(range(n)) if isinstance(t[m], Shuf) and i + m + 1 < len(s)
+        for j in t[m].blocks
+    )
 
 
 def is_initial_segment(s: CanonicalForm, t: CanonicalForm) -> bool:

@@ -105,8 +105,8 @@ def _reject(r, c: PointCode):
 
 
 class _Ints:
-    """1, n, N and Z: the integers c with low <= c < n, where None leaves
-    that side unbounded."""
+    """0, 1, n, N and Z: the integers c with low <= c < n, where None
+    leaves that side unbounded."""
 
     def __init__(self, t: OrderTerm, low: int | None, n: int | None) -> None:
         self.t, self.low, self.n = t, low, n
@@ -369,13 +369,6 @@ class _Product(_Node):
             j -= 1
 
 
-class _Empty(_Ints):
-    """0: no integer c has 0 <= c < 0."""
-
-    def check(self, c: PointCode) -> None:
-        raise InvalidCodeError("the empty order has no points")
-
-
 def _realize(t: OrderTerm):
     # The realization of a desugared term.
     match t:
@@ -395,7 +388,7 @@ def _realize(t: OrderTerm):
             return _Product(t, tuple(map(_realize, parts)))
         case Shuffle(blocks):
             return _Shuffle(t, tuple(map(_realize, blocks)))
-    return _Empty(t, 0, 0)
+    return _Ints(t, 0, 0)  # 0: no integer c has 0 <= c < 0
 
 
 def _checked(t: OrderTerm, *codes: PointCode):

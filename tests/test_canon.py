@@ -553,6 +553,16 @@ def test_initial_segment_cut_inside_shuffle():
     assert not is_initial_segment(canonicalize(T("Q[Z] + N")), canonicalize(T("Q[Z]")))
 
 
+# The initial segments, proper or not and empty aside, of each atom: k's
+# are the finite orders of at most k points; N's are the finite orders and
+# N; N~ has no least point, so each of its nonempty initial segments is N~;
+# Z's are N~ (cut below some point) and Z.
+_ATOM_INITIAL = {"1": {"1"}, "2": {"1", "2"}, "N": {"1", "2", "N"}, "N~": {"N~"},
+                 "Z": {"N~", "Z"}}
+# Final segments are the mirrors of the initial segments of the mirror.
+_ATOM_MIRROR = {"1": "1", "2": "2", "N": "N~", "N~": "N", "Z": "Z"}
+
+
 def test_segment_families_of_atoms():
     z = canonicalize(T("Z"))
     assert is_initial_segment(canonicalize(T("0")), z)
@@ -562,6 +572,26 @@ def test_segment_families_of_atoms():
     assert is_initial_segment(canonicalize(T("3")), n)
     assert not is_final_segment(canonicalize(T("3")), n)
     assert is_final_segment(n, n)
+    for b, initial in _ATOM_INITIAL.items():
+        final = {_ATOM_MIRROR[a] for a in _ATOM_INITIAL[_ATOM_MIRROR[b]]}
+        for a in _ATOM_INITIAL:
+            x, y = canonicalize(T(a)), canonicalize(T(b))
+            assert is_initial_segment(x, y) == (a in initial), (a, b)
+            assert is_final_segment(x, y) == (a in final), (a, b)
+
+
+def test_segments_of_a_form_of_3000_components():
+    # Q[Z], 1, Q[Z], 1, ...: the walk over shared components is a loop,
+    # so it needs no stack frame, nor a slice of the form, per component.
+    # Run apart, so that a failure is one short traceback.
+    code = ("from ordercalc import CanonicalForm, canonicalize, parse, is_initial_segment as i, "
+            "is_final_segment as f; "
+            "cf = canonicalize(parse(' + '.join(['Q[Z] + 1'] * 1500))); "
+            "head = CanonicalForm(cf.components[:-1]); "
+            "print(len(cf.components), i(cf, cf), f(cf, cf), i(head, cf), f(head, cf))")
+    proc = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True,
+                          text=True, timeout=60)
+    assert (proc.returncode, proc.stderr[-300:], proc.stdout) == (0, "", "3000 True True True False\n")
 
 
 # --- global invariants ---

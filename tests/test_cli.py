@@ -549,6 +549,9 @@ PINNED = [
     (["norm", "Q[Q[1,2]+Q]"], 0, "Q[Q[1,2] + Q]"),
     (["norm", "Q[Q[1,2]+3,1,2]"], 0, "Q[1,2,Q[1,2] + 3]"),
     (["norm", "Q[1+Q[Z]]"], 0, "Q[1 + Q[Z]]"),
+    # Block order: Fin, then N, N~, Z, then powers by kind N, N~, Z.
+    (["norm", "Q[N~*(1+Z), Z*(1+Z), N*(1+Z)]"], 0, "Q[N*(1 + Z),N~*(1 + Z),Z*(1 + Z)]"),
+    (["norm", "Q[Z, N~, N, 2]"], 0, "Q[2,N,N~,Z]"),
 ]
 
 
