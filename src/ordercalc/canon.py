@@ -18,7 +18,8 @@ identical forms, and different forms are StructuralOnly, never a wrong
 verdict.  Segment queries refuse such forms.
 
 A term t is t copies of one point: one walk (``_times``) applies an index
-to a fiber's form, and the form of t is t applied to ONE_FORM.
+to a fiber's components, from ONE_FORM's, and a form is built only for
+the answer and for each shuffle block.
 
 Each infinite atom (N, N*, Z) is one row of ``_KINDS``: its rank in
 block order, the Pow kind it indexes, its term, its mirror image and the
@@ -214,7 +215,6 @@ class CanonicalForm:
         object.__setattr__(self, "classification", None)
 
 
-EMPTY_FORM = CanonicalForm(())
 ONE_FORM = CanonicalForm((Scat((Fin(1),)),))
 
 
@@ -329,13 +329,13 @@ def _join(run: list[Scat]) -> Scat:
     return run[0] if len(run) == 1 else Scat(_concat_atoms(*(c.atoms for c in run)))
 
 
-def _repeat_form(cf: CanonicalForm, n: int) -> CanonicalForm:
-    match cf.components:
+def _repeat_form(comps: tuple, n: int) -> tuple:
+    match comps:
         case (Scat((Fin(k),)),):  # n copies of k points, in one step
-            return CanonicalForm((Scat((Fin(n * k),)),))
+            return (Scat((Fin(n * k),)),)
         case (Scat(atoms),):  # one Scat node, built (and hashed) once
-            return CanonicalForm((Scat(_repeat(_concat_atoms, atoms, n)),))
-    return CanonicalForm(_repeat(concat_components, cf.components, n))
+            return (Scat(_repeat(_concat_atoms, atoms, n)),)
+    return _repeat(concat_components, comps, n)
 
 
 def _repeat(concat, piece: tuple, n: int) -> tuple:
@@ -368,7 +368,8 @@ def _try_flatten(blocks: tuple[CanonicalForm, ...]) -> tuple[CanonicalForm, ...]
         for inner in j.components:
             if isinstance(inner, Shuf) and all(
                 b in inner.blocks or all(
-                    c == inner if isinstance(c, Shuf) else CanonicalForm((c,)) in inner.blocks
+                    c == inner if isinstance(c, Shuf)
+                    else any(k.components == (c,) for k in inner.blocks)
                     for c in b.components)
                 for b in blocks
             ):
@@ -411,49 +412,47 @@ def _canon(t: OrderTerm) -> CanonicalForm | StuckError:
     # The order t is t copies of one point.  A Stuck answer is kept as a
     # fresh error: the caught one holds the frames of its traceback.
     try:
-        return _times(t, ONE_FORM, {})
+        return CanonicalForm(_times(t, ONE_FORM.components, {}))
     except StuckError as e:
         return StuckError(e.subterm)
 
 
-def _times(x: OrderTerm, cf: CanonicalForm, keys: dict) -> CanonicalForm:
-    """The form of x copies of the order whose form is cf (keys: see _form_key)."""
+def _times(x: OrderTerm, comps: tuple, keys: dict) -> tuple:
+    """The components of x copies of the order with components comps (keys: see _form_key)."""
     match x:
         case Empty():
-            return EMPTY_FORM
+            return ()
         case Single():
-            return cf
+            return comps
         case Finite(n):
-            return _repeat_form(cf, n)
+            return _repeat_form(comps, n)
         case Sum(parts):
-            return CanonicalForm(concat_components(*(_times(a, cf, keys).components for a in parts)))
+            return concat_components(*(_times(a, comps, keys) for a in parts))
         case Shuffle(blocks):
-            return CanonicalForm((_canon_shuffle([_times(b, cf, keys) for b in blocks], keys),))
+            return (_canon_shuffle([CanonicalForm(_times(b, comps, keys)) for b in blocks], keys),)
         case Product(parts):
             # x1*...*xk*y is x1 copies of ... xk copies of y: the index
-            # acts on the fiber's form.  Stuck there, name this input node.
-            cf = _times(parts[-1], cf, keys)
+            # acts on the fiber's components.  Stuck there, name this input node.
+            comps = _times(parts[-1], comps, keys)
             try:
                 for p in reversed(parts[:-1]):
-                    cf = _times(p, cf, keys)
+                    comps = _times(p, comps, keys)
             except StuckError:
                 raise StuckError(x) from None
-            return cf
+            return comps
         case Omega() | OmegaStar() | Zeta():
             kind, atom = _KAPPA[x]
-            comps = cf.components
             i = next((i for i, c in enumerate(comps) if isinstance(c, Shuf)), None)
             if i is None:
                 atoms = comps[0].atoms
                 if len(atoms) == 1 and isinstance(atoms[0], Fin):
-                    return CanonicalForm((Scat((atom,)),))
-                return CanonicalForm((Scat(_pow_atoms(kind, atoms)),))
+                    return (Scat((atom,)),)
+                return (Scat(_pow_atoms(kind, atoms)),)
             # The copies collapse exactly when two consecutive ones merge:
             # one copy's Q + R followed by the next copy's L + Q is Q again.
             if concat_components(comps[i:], comps[:i + 1]) != comps[i:i + 1]:
                 raise StuckError(x)
-            return CanonicalForm(comps[:i + 1] if kind == "N"
-                                 else comps[i:] if kind == "N~" else comps[i:i + 1])
+            return comps[:i + 1] if kind == "N" else comps[i:] if kind == "N~" else comps[i:i + 1]
     raise AssertionError(f"unreachable: {x!r}")
 
 
@@ -503,7 +502,7 @@ def to_dot(cf: CanonicalForm) -> str:
             nid = next(names)
             ids.append(nid)
             if isinstance(comp, Scat):
-                label = print_term(cf_to_term(CanonicalForm((comp,))))
+                label = print_term(_atoms_term(comp.atoms))
                 lines.append(f'  {nid} [label="{label}"];')
             else:
                 assert isinstance(comp, Shuf)

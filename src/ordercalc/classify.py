@@ -154,9 +154,8 @@ def _case_bits(d: Decomposition) -> tuple[bool, bool, bool, bool, bool]:
     r_empty = not d.right.components
     b_left = not l_empty and d.left in d.blocks
     b_right = not r_empty and d.right in d.blocks
-    b_junction = not (l_empty or r_empty) and (
-        CanonicalForm(concat_components(d.right.components, d.left.components)) in d.blocks
-    )
+    junction = concat_components(d.right.components, d.left.components)
+    b_junction = not (l_empty or r_empty) and any(b.components == junction for b in d.blocks)
     return l_empty, r_empty, b_left, b_right, b_junction
 
 

@@ -555,9 +555,10 @@ def _pos_find(lo: str | None, hi: str | None, residue: int, k: int) -> str:
     # The first tree position in enumeration order whose length is residue
     # mod k, strictly between lo and hi (None: unbounded).  Positions of one
     # length lie in infix order, so only the least of each length above lo
-    # can qualify; depth residues are dense, so a bounded search suffices.
+    # can qualify.  Every depth past both lengths has one (lo + "R" + "L"...,
+    # or "L"... below hi), so the search ends within k depths of that.
     hi_key = None if hi is None else _pos_key(hi)
-    for d in range(residue, 64, k):
+    for d in itertools.count(residue, k):
         if lo is None or d > len(lo):
             pos = "" if lo is None else lo + "R"
         elif d < len(lo) and lo[d] == "L":
@@ -569,7 +570,6 @@ def _pos_find(lo: str | None, hi: str | None, residue: int, k: int) -> str:
         pos = pos.ljust(d, "L")
         if hi_key is None or _pos_key(pos) < hi_key:
             return pos
-    raise InvalidCodeError("no coloured position found within depth 64")
 
 
 def _colored(x: OrderTerm, y: OrderTerm, rounds: int,

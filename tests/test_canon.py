@@ -12,7 +12,7 @@ import pytest
 import hypothesis.strategies as st
 from hypothesis import given, seed, settings
 
-from conftest import GOLDEN, T, child_env, dense_term, shaped_terms, term_strategy, with_budget
+from conftest import A_TERMS, GOLDEN, T, child_env, dense_term, shaped_terms, term_strategy, with_budget
 from ordercalc import (
     CanonicalForm,
     Empty,
@@ -163,6 +163,53 @@ def test_dense_terms_reach_the_form_of_their_dense_class():
         assert canonicalize(x) == forms[profile(x).dense_class.value], s
 
 
+# X from the first 60 shaped terms and the first 60 corpus terms; left
+# factors A, B drawn from A_TERMS by a seeded stream, 8 pairs per X.
+_ALGEBRA_XS = shaped_terms(1, 60) + [json.loads(line)["term"]
+                                     for line in CORPUS.read_text().splitlines()[:60]]
+
+
+def _forms(p, q):
+    return canonicalize(p), canonicalize(q)
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda a, b, x: _forms(Product(Sum(a, b), x), Sum(Product(a, x), Product(b, x))),
+                 id="sum"),
+    pytest.param(lambda a, b, x: _forms(Product(Product(a, b), x), Product(a, Product(b, x))),
+                 id="product"),
+    # desugar turns (A*X)~ into A~*X~ itself, so the left side is the
+    # mirror of A*X's form.
+    pytest.param(lambda a, b, x: (reverse_form(canonicalize(Product(a, x))),
+                                  canonicalize(Product(Reverse(a), Reverse(x)))),
+                 id="mirror"),
+])
+def test_orders_equal_by_the_algebra_of_products_reach_one_form(build):
+    # (A+B)*X = A*X + B*X, (A*B)*X = A*(B*X) and (A*X)~ = A~*X~ hold as
+    # orders, whatever canon does: NotEqual on such a pair is a wrong
+    # verdict.  A pair with a Stuck side is skipped; an untame pair that
+    # differs is StructuralOnly, and skipped too.  The walk reads A*X as A
+    # copies of X, so the sum and product rows take the same steps on both
+    # sides unless a rewrite acts on whole terms or the steps compose wrong.
+    rng = random.Random(20)
+    left = {a: T(a) for a in A_TERMS}
+    tally = {"Equal": 0, "StructuralOnly": 0, "Stuck": 0}
+    wrong = []
+    for text in _ALGEBRA_XS:
+        x = T(text)
+        for a, b in [(rng.choice(A_TERMS), rng.choice(A_TERMS)) for _ in range(8)]:
+            try:
+                eq = cf_equal(*build(left[a], left[b], x)).value
+            except StuckError:
+                eq = "Stuck"
+            if eq == "NotEqual":
+                wrong.append((a, b, text))
+            else:
+                tally[eq] += 1
+    assert not wrong, wrong
+    assert tally["Equal"] >= 500, tally
+
+
 @pytest.mark.parametrize("text, form", [
     ("Q[1+Q,Q]", "Q"), ("Q[Q,1,Q+1]", "Q"), ("Q[Q[2],Q[2] + 2]", "Q[2]"),
     ("Q[Z + Q[Z],Q[Z]]", "Q[Z]"), ("Q[N + Q[N,N~,Z],Q[N,N~,Z]]", "Q[N,N~,Z]"),
@@ -258,6 +305,20 @@ def test_classifying_a_long_product_chain_stays_within_a_call_budget():
         f.cache_clear()
     assert with_budget(200_000, classify_absorption, x).case == 1
     assert canon._canon.cache_info().currsize <= 3
+
+
+@pytest.mark.parametrize("fn, text", [
+    (canonicalize, " + ".join(["N"] * 3000)),
+    (classify_absorption, "*".join(["2"] * 3000) + "*Q"),
+], ids=["sum-3000", "product-3000"])
+def test_the_walk_builds_no_form_per_summand_or_factor(fn, text):
+    # canon's walk passes component tuples and builds a form only for the
+    # answer and for each shuffle block, so a summand or a factor costs
+    # about 10 Python calls: 3000 of them stay within 40,000.
+    x = T(text)
+    for f in (terms.desugar, canon._canon):
+        f.cache_clear()
+    with_budget(40_000, fn, x)
 
 
 def test_a_stuck_answer_is_kept():

@@ -184,6 +184,20 @@ def test_colored_back_and_forth_respects_blocks():
         assert {0: 1, 1: 0}[len(pos_x) % 2] == len(pos_y) % 2
 
 
+@pytest.mark.parametrize("reverse", [False, True])
+def test_colored_back_and_forth_on_more_than_64_blocks(reverse):
+    # A copy of block i lies at the depths i mod 70, so the depths a
+    # mapped copy needs can pass 64.
+    x = T("Q[" + ",".join(["1"] * 70) + "]")
+    block_map = {i: 69 - i if reverse else i for i in range(70)}
+    result = back_and_forth(x, x, 12, block_map=block_map)
+    assert isinstance(result, PartialIso)
+    assert len(result.pairs) == 12
+    _check_partial_iso(x, x, result.pairs)
+    for (pos_x, _), (pos_y, _) in result.pairs:
+        assert block_map[len(pos_x) % 70] == len(pos_y) % 70
+
+
 def test_colored_back_and_forth_transcript_is_pinned():
     result = back_and_forth(T("Q[N,Z]"), T("Q[Z,N]"), 12, block_map={0: 1, 1: 0})
     assert result.pairs == (

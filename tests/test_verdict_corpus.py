@@ -1,10 +1,13 @@
-"""Verdict corpus: pinned answers for a fixed prefix of generated terms.
+"""Verdict corpora: pinned answers for fixed prefixes of generated terms.
 
 ``verdict_corpus.jsonl`` holds one JSON object per line for each of the
 first 200 distinct terms that the benchmark's ``decide`` workload draws
-at seed 1, in drawing order; no term was chosen by its outcome.  A line
-holds the term and the answers it gets with cold caches, in this order,
-stopping at the first that raises:
+at seed 1, in drawing order.  ``shaped_corpus.jsonl`` does the same for
+the first 200 terms of ``conftest.shaped_terms(1, ...)``, of the paper's
+shape L + Q[blocks] + R, which reach the absorption cases 2, 4, 5, 6 and
+8 that the first corpus lacks.  No term was chosen by its outcome.  A
+line holds the term and the answers it gets with cold caches, in this
+order, stopping at the first that raises:
 
 - ``profile``: the ``StructProfile`` fields in declaration order, the
   dense class by its value;
@@ -20,12 +23,13 @@ A line that stopped carries ``stop``: ``Stuck``, ``Unsupported`` or
 machine, so every line ends the same way everywhere.
 
 The test recomputes every line and requires it to match exactly.  When a
-change moves a line that has a ``stop``, rewrite the file with
+change moves a line that has a ``stop``, rewrite both files with
 
     PYTHONPATH=src python tests/test_verdict_corpus.py
 
-which rewrites only such lines and refuses to write when a line without
-``stop`` (a decided one) would change.  It prints each line it rewrites.
+which rewrites only such lines and refuses to write either file when a
+line without ``stop`` (a decided one) would change.  It prints each line
+it rewrites.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import A_TERMS, OverBudget, with_budget
+from conftest import A_TERMS, OverBudget, shaped_terms, with_budget
 from ordercalc import (
     StuckError,
     UnsupportedError,
@@ -55,6 +59,8 @@ from ordercalc import (
 from ordercalc import canon, profiles, terms
 
 CORPUS = Path(__file__).with_name("verdict_corpus.jsonl")
+SHAPED = Path(__file__).with_name("shaped_corpus.jsonl")
+CORPORA = {CORPUS: "line", SHAPED: "shaped"}  # each file, with the id prefix of its lines
 BUDGET_CALLS = 200_000
 
 
@@ -86,8 +92,8 @@ def answers(text: str) -> dict:
     return line
 
 
-def _lines() -> list[dict]:
-    return [json.loads(s) for s in CORPUS.read_text().splitlines()]
+def _lines(path: Path = CORPUS) -> list[dict]:
+    return [json.loads(s) for s in path.read_text().splitlines()]
 
 
 def _dump(line: dict) -> str:
@@ -99,24 +105,33 @@ def test_corpus_has_200_distinct_terms():
     assert len(texts) == 200 and len(set(texts)) == 200
 
 
-@pytest.mark.parametrize("line", [pytest.param(line, id=f"line{i + 1}")
-                                  for i, line in enumerate(_lines())])
+def test_shaped_corpus_is_the_shaped_prefix():
+    assert [line["term"] for line in _lines(SHAPED)] == shaped_terms(1, 200)
+
+
+@pytest.mark.parametrize("line", [pytest.param(line, id=f"{prefix}{i + 1}")
+                                  for path, prefix in CORPORA.items()
+                                  for i, line in enumerate(_lines(path))])
 def test_corpus_line(line):
     assert _dump(answers(line["term"])) == _dump(line)
 
 
 def regenerate() -> int:
     """Rewrite the lines that have a stop; refuse if a decided line changes."""
-    old = _lines()
-    new = [answers(line["term"]) for line in old]
-    moved = [i for i, (a, b) in enumerate(zip(old, new)) if _dump(a) != _dump(b)]
-    decided = [i + 1 for i in moved if "stop" not in old[i]]
+    new, moved = {}, []
+    for path, prefix in CORPORA.items():
+        old = _lines(path)
+        new[path] = [answers(line["term"]) for line in old]
+        moved += [(f"{prefix}{i + 1}", a, b, "stop" in a)
+                  for i, (a, b) in enumerate(zip(old, new[path])) if _dump(a) != _dump(b)]
+    decided = [name for name, _, _, stop in moved if not stop]
     if decided:
         print(f"decided lines would change, not written: {decided}")
         return 1
-    for i in moved:
-        print(f"line {i + 1}: {_dump(old[i])}\n     -> {_dump(new[i])}")
-    CORPUS.write_text("".join(_dump(line) + "\n" for line in new))
+    for name, a, b, _ in moved:
+        print(f"{name}: {_dump(a)}\n     -> {_dump(b)}")
+    for path, lines in new.items():
+        path.write_text("".join(_dump(line) + "\n" for line in lines))
     return 0
 
 
